@@ -210,10 +210,9 @@ let engine_arg =
     Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (M.engine_name e))
   in
   let doc =
-    "Execution tier: stepper (the AST-walking reference machines, default), \
-     vm (the instrumented bytecode VM — bit-compatible measurements, Tail \
-     variant only), or vm-fast (the bytecode VM with accounting compiled \
-     out: answers only, much faster)."
+    "Execution tier: stepper (the AST-walking reference machines, default) \
+     or vm-fast (the bytecode VM with accounting compiled out: answers \
+     only, much faster)."
   in
   Arg.(value & opt cv M.Stepper & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -221,7 +220,7 @@ let vm_fast_arg =
   let doc = "Shorthand for --engine vm-fast." in
   Arg.(value & flag & info [ "vm-fast" ] ~doc)
 
-(* The VM tiers refuse configurations whose accounting they cannot
+(* The fast VM tier refuses configurations whose accounting it cannot
    honor; surface that as a usage error (exit 2) before running. *)
 let resolve_engine ~engine ~vm_fast ~variant ~perm ~measure =
   let engine = if vm_fast then M.Vm_fast else engine in
@@ -229,20 +228,16 @@ let resolve_engine ~engine ~vm_fast ~variant ~perm ~measure =
     Format.eprintf "schemesim: %s@." m;
     exit 2
   in
-  (match engine with
-  | M.Stepper -> ()
-  | M.Vm ->
-      if variant <> M.Tail then
-        usage "--engine vm supports only the tail variant (-v tail)"
-  | M.Vm_fast ->
-      if variant <> M.Tail then
-        usage "--engine vm-fast supports only the tail variant (-v tail)";
-      if perm <> M.Left_to_right then
-        usage "--engine vm-fast evaluates left-to-right only (--perm ltr)";
-      if SM.normalize measure <> [ SM.Flat ] then
-        usage
-          "--engine vm-fast measures only the flat model (drop \
-           --linked/--model)");
+  if engine = M.Vm_fast then begin
+    if variant <> M.Tail then
+      usage "--engine vm-fast supports only the tail variant (-v tail)";
+    if perm <> M.Left_to_right then
+      usage "--engine vm-fast evaluates left-to-right only (--perm ltr)";
+    if SM.normalize measure <> [ SM.Flat ] then
+      usage
+        "--engine vm-fast measures only the flat model (drop \
+         --linked/--model)"
+  end;
   engine
 
 let fuel_arg =
@@ -1091,11 +1086,12 @@ let bench_cmd =
 (* ------------------------------------------------------------------ *)
 (* vmbench                                                             *)
 
-(* Wall-clock comparison of the execution tiers on loop/arith-heavy
-   corpus families, emitting the committed BENCH_vm.json format and
-   optionally gating on the fast tier's speedup over the stepper. Each
-   timing is the best of [reps] runs of the full engine path (for the
-   VM tiers that includes compilation — the honest end-to-end cost). *)
+(* Wall-clock comparison of the stepper and the fast VM tier on
+   loop/arith-heavy corpus families, emitting the committed
+   BENCH_vm.json format and optionally gating on the fast tier's
+   speedup over the stepper. Each timing is the best of [reps] runs of
+   the full engine path (for the VM that includes compilation — the
+   honest end-to-end cost). *)
 let vmbench_cmd =
   let default_families =
     [
@@ -1184,7 +1180,6 @@ let vmbench_cmd =
                       ~program ~n ())
               in
               let stepper_s, sm = point M.Stepper in
-              let vm_s, im = point M.Vm in
               let fast_s, fm = point M.Vm_fast in
               let status (m : R.measurement) =
                 match m.R.status with
@@ -1192,12 +1187,9 @@ let vmbench_cmd =
                 | R.Stuck s -> "stuck:" ^ s
                 | R.Aborted r -> "aborted:" ^ Res.abort_reason_name r
               in
-              let answers_agree =
-                String.equal (status sm) (status im)
-                && String.equal (status sm) (status fm)
-              in
+              let answers_agree = String.equal (status sm) (status fm) in
               let speedup = stepper_s /. Float.max fast_s 1e-9 in
-              (name, n, stepper_s, vm_s, fast_s, speedup, sm, im, answers_agree))
+              (name, n, stepper_s, fast_s, speedup, sm, answers_agree))
         families
     in
     let json =
@@ -1208,36 +1200,32 @@ let vmbench_cmd =
           ( "families",
             Json.List
               (List.map
-                 (fun (name, n, ss, vs, fs, sp, sm, im, agree) ->
+                 (fun (name, n, ss, fs, sp, sm, agree) ->
                    Json.Obj
                      [
                        ("name", Json.Str name);
                        ("n", Json.Int n);
                        ("stepper_s", Json.Float ss);
-                       ("vm_s", Json.Float vs);
                        ("vm_fast_s", Json.Float fs);
                        ("speedup_fast", Json.Float sp);
                        ("steps", Json.Int sm.R.steps);
                        ("peak_space", Json.Int (R.peak_space sm));
-                       ("vm_steps", Json.Int im.R.steps);
-                       ("vm_peak_space", Json.Int (R.peak_space im));
                        ("answers_agree", Json.Bool agree);
                      ])
                  rows) );
         ]
     in
     write_file out (Json.to_string json);
-    Format.printf "%-15s %8s %12s %12s %12s %9s %s@." "family" "n" "stepper"
-      "vm" "vm-fast" "speedup" "agree";
+    Format.printf "%-15s %8s %12s %12s %9s %s@." "family" "n" "stepper"
+      "vm-fast" "speedup" "agree";
     List.iter
-      (fun (name, n, ss, vs, fs, sp, _, _, agree) ->
-        Format.printf "%-15s %8d %10.3f s %10.3f s %10.4f s %8.1fx %s@." name n
-          ss vs fs sp
+      (fun (name, n, ss, fs, sp, _, agree) ->
+        Format.printf "%-15s %8d %10.3f s %10.4f s %8.1fx %s@." name n ss fs sp
           (if agree then "yes" else "NO"))
       rows;
     Format.printf "; results -> %s@." out;
     let disagreements =
-      List.filter (fun (_, _, _, _, _, _, _, _, agree) -> not agree) rows
+      List.filter (fun (_, _, _, _, _, _, agree) -> not agree) rows
     in
     if disagreements <> [] then begin
       Format.printf "vmbench: FAILED (engine answers disagree)@.";
@@ -1248,7 +1236,7 @@ let vmbench_cmd =
     | Some target ->
         let at =
           List.length
-            (List.filter (fun (_, _, _, _, _, sp, _, _, _) -> sp >= target) rows)
+            (List.filter (fun (_, _, _, _, sp, _, _) -> sp >= target) rows)
         in
         if at >= min_families then
           Format.printf "vmbench: OK (%d/%d families at >=%.0fx)@." at
@@ -1260,9 +1248,9 @@ let vmbench_cmd =
         end
   in
   let doc =
-    "Time the execution tiers (stepper, instrumented VM, fast VM) on \
-     loop/arith-heavy corpus families, write BENCH_vm.json, and optionally \
-     gate on the fast tier's speedup."
+    "Time the stepper against the fast VM tier on loop/arith-heavy corpus \
+     families, write BENCH_vm.json, and optionally gate on the fast tier's \
+     speedup."
   in
   Cmd.v (Cmd.info "vmbench" ~doc)
     Term.(
@@ -1618,32 +1606,21 @@ let report_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let report which jobs engine =
-    (* The instrumented VM's sweeps are bit-compatible with the
-       stepper's (oracle-checked), so [--engine vm] changes only the
-       wall-clock; the fast tier compiles the space columns out and is
-       refused. *)
-    (match engine with
-    | M.Stepper | M.Vm -> ()
-    | M.Vm_fast ->
-        Format.eprintf
-          "schemesim: report --engine vm-fast has no space columns (the fast \
-           tier compiles accounting out); use stepper or vm@.";
-        exit 2);
+  let report which jobs =
     let table =
       Pool.with_pool ?jobs (fun pool ->
           match which with
           | "fig2" -> Ok (X.Fig2.render (X.Fig2.run ()))
-          | "thm25" -> Ok (X.Thm25.render (X.Thm25.run ?pool ~engine ()))
-          | "thm24" -> Ok (X.Thm24.render (X.Thm24.run ?pool ~engine ()))
-          | "thm26" -> Ok (X.Thm26.render (X.Thm26.run ?pool ~engine ()))
-          | "sec4" -> Ok (X.Sec4.render (X.Sec4.run ?pool ~engine ()))
-          | "cor20" -> Ok (X.Cor20.render (X.Cor20.run ?pool ~engine ()))
-          | "cps" -> Ok (X.Cps.render (X.Cps.run ?pool ~engine ()))
-          | "ablation" -> Ok (X.Ablation.render (X.Ablation.run ?pool ~engine ()))
+          | "thm25" -> Ok (X.Thm25.render (X.Thm25.run ?pool ()))
+          | "thm24" -> Ok (X.Thm24.render (X.Thm24.run ?pool ()))
+          | "thm26" -> Ok (X.Thm26.render (X.Thm26.run ?pool ()))
+          | "sec4" -> Ok (X.Sec4.render (X.Sec4.run ?pool ()))
+          | "cor20" -> Ok (X.Cor20.render (X.Cor20.run ?pool ()))
+          | "cps" -> Ok (X.Cps.render (X.Cps.run ?pool ()))
+          | "ablation" -> Ok (X.Ablation.render (X.Ablation.run ?pool ()))
           | "sanity" -> Ok (X.Sanity.render (X.Sanity.run ?pool ()))
-          | "loghier" -> Ok (X.LogHier.render (X.LogHier.run ?pool ~engine ()))
-          | "all" -> Ok (X.render_all ?pool ~engine ())
+          | "loghier" -> Ok (X.LogHier.render (X.LogHier.run ?pool ()))
+          | "all" -> Ok (X.render_all ?pool ())
           | other -> Error other)
     in
     match table with
@@ -1654,7 +1631,7 @@ let report_cmd =
   in
   let doc = "Print the paper-reproduction tables (see DESIGN.md)." in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const report $ which_arg $ jobs_arg $ engine_arg)
+    Term.(const report $ which_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                              *)
@@ -1855,24 +1832,17 @@ let spaceprof_cmd =
     if engine = M.Vm_fast then begin
       Format.eprintf
         "schemesim: the fast tier compiles accounting out and cannot carry a \
-         census; use --engine stepper or vm@.";
+         census; use --engine stepper@.";
       exit 2
     end;
     (* One profiled run: census attached through Run_opts, raw per-model
        peaks recovered from the measurement's [peaks] list (no |P| term
        — the census decomposes the store peak, not the consumption). *)
     let census_run variant =
-      if engine = M.Vm && variant <> M.Tail then begin
-        Format.eprintf
-          "schemesim: --engine vm profiles only the tail variant; --diff \
-           with other variants needs the stepper@.";
-        exit 2
-      end;
       let census = Census.create () in
       let opts = M.Run_opts.make ~fuel ~measure ~provenance:census () in
       let m =
-        R.run_once ~opts ~config:(M.Config.make ~engine ~variant ()) ~program
-          ~n ()
+        R.run_once ~opts ~config:(M.Config.make ~variant ()) ~program ~n ()
       in
       let flat = Census.flat_census census ~peak:(R.peak_space m) in
       let linked_c =
@@ -2266,7 +2236,10 @@ let () =
      Efficiency' (Clinger, PLDI 1998)"
   in
   let info = Cmd.info "schemesim" ~version:"1.0.0" ~doc in
-  exit
+  (* Bad flags and option values are usage errors: exit 2, not
+     cmdliner's own 124. *)
+  let usage_as_2 code = if code = Cmd.Exit.cli_error then 2 else code in
+  exit @@ usage_as_2
     (Cmd.eval
        (Cmd.group info
           [

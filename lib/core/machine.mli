@@ -3,14 +3,14 @@
 
     A machine is a {!variant} plus policies resolving the semantics'
     nondeterminism (argument evaluation order [pi], the [I_stack]
-    deletion set [A], the [random] seed). [run] executes a space-efficient
+    deletion set [A], the [random] seed). {!exec} executes a space-efficient
     computation (Definition 21): the garbage-collection rule is applied
     as required, and the reported peak is exactly
     [sup {space(C_i)}] over the computation — the lazy collection
     schedule never lets garbage inflate the peak (a collection runs
     whenever the tracked space would exceed the running peak).
 
-    The space consumption of Definition 23 is [|P| + peak]; {!run}
+    The space consumption of Definition 23 is [|P| + peak]; {!exec}
     reports both parts. *)
 
 type variant = Tail | Gc | Stack | Evlis | Free | Sfs
@@ -44,17 +44,22 @@ type stack_policy = Algol | Safe_deletion
 type return_env = Closure_env | Register_env
 
 (** Which execution tier runs the program. [Stepper] is the small-step
-    reference interpreter (this module's [run]); [Vm] is the bytecode
-    VM's instrumented mode (Tail variant only — bit-compatible peaks and
-    step counts); [Vm_fast] is the bytecode VM with accounting compiled
-    out (answers only). The tiers live in [Tailspace_vm.Vm]; the config
-    field just names the choice so the harness can key caches on it. *)
+    reference interpreter (this module's {!exec}) and the only tier that
+    measures space; [Vm_fast] is the bytecode VM with accounting
+    compiled out (answers only), in [Tailspace_vm.Vm]. The config field
+    just names the choice so the harness can key caches on it.
+
+    [Vm] is a compile-time alias of [Stepper], kept only so that the
+    benchmark sources which still name it compile: {!Config.make} turns
+    it into [Stepper], it is not in {!all_engines}, and
+    {!engine_of_name} does not accept ["vm"]. The alias goes when the
+    benchmark next changes. *)
 type engine = Stepper | Vm | Vm_fast
 
 val all_engines : engine list
 
 val engine_name : engine -> string
-(** ["stepper"], ["vm"], ["vm-fast"]. *)
+(** ["stepper"], ["vm-fast"] ([Vm] prints as ["stepper"]). *)
 
 val engine_of_name : string -> engine option
 
@@ -82,8 +87,7 @@ module Config : sig
             oracle checks this), only per-step cost changes *)
     engine : engine;
         (** which execution tier the harness should run this config on;
-            [create_with] itself always builds the stepper state (the VM
-            reuses it for its globals and annotations) *)
+            [create_with] itself always builds the stepper state *)
   }
 
   val default : t
@@ -101,7 +105,8 @@ module Config : sig
     ?engine:engine ->
     unit ->
     t
-  (** {!default} with the given fields replaced. *)
+  (** {!default} with the given fields replaced; [~engine:Vm] gives
+      [Stepper]. *)
 
   val perm_name : perm_policy -> string
   (** ["ltr"], ["rtl"], ["seeded:<seed>"]. *)
@@ -124,28 +129,10 @@ val create_with : Config.t -> t
     §12): primitives plus a Scheme-level prelude (list and vector
     utilities) evaluated under this machine's own variant. *)
 
-val create :
-  ?variant:variant ->
-  ?perm:perm_policy ->
-  ?stack_policy:stack_policy ->
-  ?return_env:return_env ->
-  ?evlis_drop_at_creation:bool ->
-  ?seed:int ->
-  unit ->
-  t
-[@@deprecated "use Machine.create_with (Machine.Config.make ... ())"]
-(** Thin wrapper over {!create_with}: each argument defaults to its
-    {!Config.default} field (annotations on). *)
-
 val variant : t -> variant
 
 val config : t -> Config.t
 (** The configuration this machine was built with. *)
-
-val annotations : t -> Tailspace_analysis.Annot.t option
-(** The machine's annotation table ([None] when built with
-    [annotate = false]); shared with engines that want the same
-    precomputed facts. *)
 
 val initial : t -> Types.Env.t * Store.t
 (** The machine's [rho_0] and [sigma_0] (primitives + prelude), e.g. for
@@ -292,59 +279,6 @@ val exec_program :
 val exec_string : ?opts:Run_opts.t -> t -> string -> result
 (** Parse and expand a whole program (see
     {!Tailspace_expander.Expand.program}) and run it. *)
-
-val run :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?provenance:Census.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  Tailspace_ast.Ast.expr ->
-  result
-[@@deprecated "use Machine.exec with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec}. [on_step] and [trace] are shims
-    over the telemetry observation point: [on_step] receives the step
-    index and the configuration's flat space after any collection
-    (exactly a telemetry [Step] event), and [trace] receives the same
-    one-line configuration description the telemetry ring buffer records
-    (exactly what a telemetry [config_sink] receives). New code should
-    pass [Run_opts.telemetry] instead; removal is noted in DESIGN.md. *)
-
-val run_program :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  program:Tailspace_ast.Ast.expr ->
-  input:Tailspace_ast.Ast.expr ->
-  result
-[@@deprecated "use Machine.exec_program with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec_program}. *)
-
-val run_string :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  string ->
-  result
-[@@deprecated "use Machine.exec_string with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec_string}. *)
 
 val eval_global : t -> Tailspace_ast.Ast.expr -> (Types.value * Store.t, string) Result.t
 (** Evaluate under the initial environment without measurement

@@ -8,6 +8,13 @@ module X = Tailspace_harness.Experiments
 module M = Tailspace_core.Machine
 module E = Tailspace_expander.Expand
 
+(* Experiment tables are pinned byte for byte: every observable (steps,
+   peaks, fits, claims) feeds the rendering, so a change that moves any
+   of them fails here. The goldens under golden/ were rendered at the
+   reduced sizes these tests use. *)
+let golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
 let synth f ns = List.map (fun n -> (n, f n)) ns
 let ns = [ 8; 16; 32; 64; 128; 256 ]
 
@@ -100,7 +107,8 @@ let test_thm25_reduced () =
             (List.length c.X.Thm25.spaces = 3))
         s.X.Thm25.cells)
     sweeps;
-  Alcotest.(check bool) "renders" true (String.length (X.Thm25.render sweeps) > 200)
+  Alcotest.(check string) "golden table" (golden "thm25_reduced.txt")
+    (X.Thm25.render sweeps)
 
 let test_thm25_claims_full () =
   (* the paper's separations at full default sizes *)
@@ -126,7 +134,8 @@ let test_thm26_shape () =
     float_of_int r.X.Thm26.s_sfs /. float_of_int r.X.Thm26.u_tail
   in
   Alcotest.(check bool) "S_sfs/U_tail grows" true (ratio last > ratio first);
-  Alcotest.(check bool) "renders" true (String.length (X.Thm26.render result) > 100)
+  Alcotest.(check string) "golden table" (golden "thm26_shape.txt")
+    (X.Thm26.render result)
 
 let test_cor20_agreement () =
   let rows = X.Cor20.run () in

@@ -217,6 +217,19 @@ let test_request_codec () =
   (match Protocol.request_of_json (Json.Obj [ ("op", Json.Str "explode") ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown op must be rejected");
+  (* "vm" is not an engine name ([Machine.Vm] is a compile-time alias) *)
+  (match
+     Protocol.request_of_json
+       (Json.Obj
+          [
+            ("op", Json.Str "evaluate");
+            ("program", Json.Str "(define (f n) n) f");
+            ("engine", Json.Str "vm");
+          ])
+   with
+  | Error m ->
+      Alcotest.(check string) "vm engine" "request: unknown engine \"vm\"" m
+  | Ok _ -> Alcotest.fail "engine vm must be rejected");
   match
     Protocol.request_of_json
       (Json.Obj [ ("op", Json.Str "evaluate"); ("program", Json.Int 3) ])

@@ -1,7 +1,7 @@
 (* The telemetry layer: counter/result agreement across all six
    variants, deterministic exact counts on fixed programs, the stuck
-   ring buffer, JSON round-trips, the legacy shims, profile
-   downsampling, and the alternative engines' instrumentation. *)
+   ring buffer, JSON round-trips, profile downsampling, and the
+   alternative engines' instrumentation. *)
 
 module M = Tailspace_core.Machine
 module Tel = Tailspace_telemetry.Telemetry
@@ -143,46 +143,6 @@ let test_json_parser () =
   | Ok _ -> Alcotest.fail "trailing comma accepted"
   | Error _ -> ()
 
-(* on_step and trace are deprecated shims over the telemetry
-   observation point (kept until the removal noted in DESIGN.md): they
-   must see exactly the Step events / ring descriptions. This test
-   exercises the deprecated surface deliberately. *)
-module Legacy_shims = struct
-  [@@@alert "-deprecated"]
-  [@@@warning "-3"]
-
-  let test_shims () =
-    let src = count_25 in
-    let events = ref [] in
-    let sink = function
-      | Tel.Step { step; space; _ } -> events := (step, space) :: !events
-      | _ -> ()
-    in
-    let steps_seen = ref [] in
-    let t = M.create () in
-    let tl = Tel.create ~sink () in
-    let _ =
-      M.run_string ~telemetry:tl
-        ~on_step:(fun ~steps ~space ->
-          steps_seen := (steps, space) :: !steps_seen)
-        t src
-    in
-    Alcotest.(check (list (pair int int)))
-      "on_step sees the Step events" (List.rev !events) (List.rev !steps_seen);
-    (* trace sees the same descriptions the ring records *)
-    let traced = ref [] in
-    let t = M.create ~variant:M.Stack ~stack_policy:M.Algol () in
-    let tl = Tel.create ~ring:1000 () in
-    let _ =
-      M.run_string ~telemetry:tl
-        ~trace:(fun step d -> traced := (step, d) :: !traced)
-        t "(define (make n) (lambda () n)) ((make 5))"
-    in
-    Alcotest.(check (list (pair int string)))
-      "trace sees the ring descriptions" (Tel.ring_contents tl)
-      (List.rev !traced)
-end
-
 (* The profile recorder downsamples by doubling its stride once the
    sample buffer fills, so memory stays bounded. *)
 let test_profile_downsampling () =
@@ -274,7 +234,6 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "legacy shims" `Quick Legacy_shims.test_shims;
           Alcotest.test_case "profile downsampling" `Quick
             test_profile_downsampling;
           Alcotest.test_case "secd" `Quick test_secd_telemetry;
