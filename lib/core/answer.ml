@@ -1,69 +1,3 @@
-module Datum = Tailspace_sexp.Datum
-
-type style = Display | Write
-
-let render ~style ~fuel store v =
-  let buf = Buffer.create 64 in
-  let budget = ref fuel in
-  let out s =
-    if !budget > 0 then begin
-      decr budget;
-      Buffer.add_string buf s
-    end
-  in
-  let deref l =
-    match Store.find_opt store l with
-    | Some v -> v
-    | None -> Types.Undefined
-  in
-  let rec emit v =
-    if !budget > 0 then
-      match (v : Types.value) with
-      | Bool true -> out "#t"
-      | Bool false -> out "#f"
-      | Int z -> out (Types.Bignum.to_string z)
-      | Sym s -> out s
-      | Str s -> (
-          match style with
-          | Display -> out s
-          | Write -> out (Format.asprintf "%a" Datum.pp (Datum.Str s)))
-      | Char c -> (
-          match style with
-          | Display -> out (String.make 1 c)
-          | Write -> out (Format.asprintf "%a" Datum.pp (Datum.Char c)))
-      | Nil -> out "()"
-      | Unspecified -> out "#!unspecified"
-      | Undefined -> out "#!undefined"
-      | Closure _ | Escape _ | Primop _ -> out "#<PROC>"
-      | Vector locs ->
-          out "#(";
-          Array.iteri
-            (fun i l ->
-              if i > 0 then out " ";
-              emit (deref l))
-            locs;
-          out ")"
-      | Pair (a, d) ->
-          out "(";
-          emit (deref a);
-          emit_tail (deref d);
-          out ")"
-  and emit_tail v =
-    if !budget > 0 then
-      match (v : Types.value) with
-      | Nil -> ()
-      | Pair (a, d) ->
-          out " ";
-          emit (deref a);
-          emit_tail (deref d)
-      | v ->
-          out " . ";
-          emit v
-  in
-  emit v;
-  if !budget <= 0 then Buffer.add_string buf "...";
-  Buffer.contents buf
-
-let to_string ?(fuel = 10_000) store v = render ~style:Write ~fuel store v
-let display store v = render ~style:Display ~fuel:10_000 store v
-let write store v = render ~style:Write ~fuel:10_000 store v
+let to_string = Prim.to_string
+let display = Prim.display
+let write = Prim.write

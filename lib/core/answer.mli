@@ -1,20 +1,14 @@
-(** The observable answer of a final configuration (Definition 11).
-
-    [answer(v, sigma)] renders booleans as [#t]/[#f], exact integers in
-    decimal, symbols by name, vectors as [#(...)] (dereferencing element
-    locations through the store), every procedure value — closure, escape
-    or primitive — as [#<PROC>], and lists element-wise. Definition 11
-    allows the output to be infinite (cyclic data); rendering is fuel-
-    bounded and emits ["..."] when the fuel runs out, which keeps answers
-    comparable across machines without diverging. *)
+(** The observable answer of a final configuration (Definition 11):
+    {!Prim}'s printer on the store instance, dereferencing vector and
+    list cells through the store. The rendering conventions and the
+    fuel bound are documented at {!Prim.S.to_string}; the other engines
+    print through their own instances of the same functor. *)
 
 val to_string : ?fuel:int -> Store.t -> Types.value -> string
 (** [fuel] bounds the number of emitted tokens (default 10_000). *)
 
 val display : Store.t -> Types.value -> string
-(** Like {!to_string} but strings and characters render raw, as Scheme's
-    [display] does; used by the [display] primitive. *)
+(** Strings and characters raw, as Scheme's [display] does. *)
 
 val write : Store.t -> Types.value -> string
-(** Strings quoted and escaped, characters in [#\x] notation (Scheme's
-    [write]); {!to_string} uses this convention. *)
+(** Scheme's [write] notation, which {!to_string} uses. *)

@@ -300,7 +300,7 @@ let note_alloc_site t ~site ~phase =
 let step_expr t config e =
   let { env; cont; store; _ } = config in
   match (e : Ast.expr) with
-  | Ast.Quote c -> Next { config with control = `Value (value_of_const c) }
+  | Ast.Quote c -> Next { config with control = `Value (Prim.of_const c) }
   | Ast.Var i -> (
       match Env.find_opt i env with
       | None -> Stuck_state (Printf.sprintf "unbound variable: %s" i)
@@ -491,7 +491,7 @@ let rec invoke ?(site = -1) t config v0 vals next =
           | exception Invalid_argument m -> Stuck_state m))
   | v ->
       Stuck_state
-        (Printf.sprintf "attempt to call a non-procedure (%s)" (tag_of_value v))
+        (Printf.sprintf "attempt to call a non-procedure (%s)" (Prim.tag v))
 
 (* ------------------------------------------------------------------ *)
 (* The I_stack deletion rule.                                          *)
@@ -856,7 +856,7 @@ let describe_config ?annot config =
             Printf.sprintf "E@s%d %s" (Option.get (Annot.site_id a e)) (span e)
         | _ -> "E " ^ span e)
     | `Value v -> (
-        let base = "V " ^ tag_of_value v in
+        let base = "V " ^ Prim.tag v in
         match annot with
         | None -> base
         | Some a -> (

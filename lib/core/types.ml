@@ -183,17 +183,6 @@ let value_space = function
   | Closure (_, _, env) -> 1 + Env.cardinal env
   | Escape (_, k) -> 1 + cont_space k
 
-let value_of_const (c : Ast.const) =
-  match c with
-  | Ast.C_bool b -> Bool b
-  | Ast.C_int z -> Int z
-  | Ast.C_sym s -> Sym s
-  | Ast.C_str s -> Str s
-  | Ast.C_char c -> Char c
-  | Ast.C_nil -> Nil
-  | Ast.C_unspecified -> Unspecified
-  | Ast.C_undefined -> Undefined
-
 let rec value_locs = function
   | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
   | Primop _ ->
@@ -227,18 +216,3 @@ and cont_locs_acc acc k =
       cont_locs_acc (List.rev_append (Env.locations env) acc) next
 
 let cont_locs k = cont_locs_acc [] k
-
-let tag_of_value = function
-  | Bool _ -> "boolean"
-  | Int _ -> "number"
-  | Sym _ -> "symbol"
-  | Str _ -> "string"
-  | Char _ -> "character"
-  | Nil -> "empty list"
-  | Unspecified -> "unspecified"
-  | Undefined -> "undefined"
-  | Pair _ -> "pair"
-  | Vector _ -> "vector"
-  | Closure _ -> "closure"
-  | Escape _ -> "continuation"
-  | Primop _ -> "primitive"

@@ -135,9 +135,6 @@ val value_space : value -> int
     [1 + n] for vectors, [1 + |Dom rho|] for closures, [3] for pairs,
     [1 + length] for strings, [1 + space(kappa)] for escapes. *)
 
-val value_of_const : Ast.const -> value
-(** Constants denote themselves (first reduction rule). *)
-
 (** {1 Structure} *)
 
 val value_locs : value -> loc list
@@ -148,6 +145,3 @@ val cont_locs : cont -> loc list
 (** Locations occurring directly in a continuation: the codomains of its
     saved environments, locations of its held values, recursively through
     [next], plus any [Return_stack] deletion sets. *)
-
-val tag_of_value : value -> string
-(** Short constructor name for error messages ("pair", "closure", ...). *)

@@ -46,7 +46,7 @@ let evaluate st expr env0 store0 =
   let rec ev e (rho : Env.t) (kappa : kont) sigma : answer =
     spend ();
     match (e : Ast.expr) with
-    | Ast.Quote c -> kappa (T.value_of_const c) sigma
+    | Ast.Quote c -> kappa (Prim.of_const c) sigma
     | Ast.Var i -> (
         match Env.find_opt i rho with
         | None -> fail "unbound variable: %s" i
@@ -93,7 +93,10 @@ let evaluate st expr env0 store0 =
         let np = List.length lam.Ast.params in
         let nv = List.length operands in
         let ok = match lam.Ast.rest with None -> nv = np | Some _ -> nv >= np in
-        if not ok then fail "arity: expected %d arguments, got %d" np nv;
+        if not ok then
+          fail "arity: procedure expects %s%d arguments, got %d"
+            (match lam.Ast.rest with None -> "" | Some _ -> "at least ")
+            np nv;
         let rec take k = function
           | rest when k = 0 -> ([], rest)
           | v :: vs ->
@@ -142,7 +145,7 @@ let evaluate st expr env0 store0 =
             match fn st.ctx sigma operands with
             | sigma, v -> kappa v sigma
             | exception Prim.Prim_error m -> fail "%s" m))
-    | v -> fail "attempt to call a non-procedure (%s)" (T.tag_of_value v)
+    | v -> fail "attempt to call a non-procedure (%s)" (Prim.tag v)
   in
   ev expr env0 (fun v sigma -> (v, sigma)) store0
 

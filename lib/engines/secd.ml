@@ -3,6 +3,7 @@ module Bignum = Tailspace_bignum.Bignum
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 module Annot = Tailspace_analysis.Annot
+module Prim = Tailspace_core.Prim
 
 (* ------------------------------------------------------------------ *)
 (* Code                                                                *)
@@ -143,112 +144,58 @@ exception Secd_error of string
 
 let err fmt = Format.kasprintf (fun m -> raise (Secd_error m)) fmt
 
-let value_of_const (c : Ast.const) =
-  match c with
-  | Ast.C_bool b -> Bool b
-  | Ast.C_int z -> Int z
-  | Ast.C_sym s -> Sym s
-  | Ast.C_str s -> Str s
-  | Ast.C_char c -> Char c
-  | Ast.C_nil -> Nil
-  | Ast.C_unspecified -> Unspecified
-  | Ast.C_undefined -> Undefined
+(* The SECD values as a [Prim] representation: the heap is the OCaml
+   heap, mutated in place, and identity is physical. *)
+module Repr = struct
+  type nonrec value = value
+  type heap = unit
+  type pair = cell
+  type vector = value array
 
-let rec list_of_values = function
-  | [] -> Nil
-  | v :: rest -> Pair { car = v; cdr = list_of_values rest }
+  let view : value -> (pair, vector) Prim.view = function
+    | Int z -> Prim.Int z
+    | Bool b -> Prim.Bool b
+    | Sym s -> Prim.Sym s
+    | Str s -> Prim.Str s
+    | Char c -> Prim.Char c
+    | Nil -> Prim.Nil
+    | Unspecified -> Prim.Unspecified
+    | Undefined -> Prim.Undefined
+    | Pair c -> Prim.Pair c
+    | Vector a -> Prim.Vector a
+    | Closure _ -> Prim.Closure
+    | Prim name -> Prim.Primitive name
 
-(* ------------------------------------------------------------------ *)
-(* Primitives (the subset the corpus battery needs)                    *)
+  let same = ( == )
 
-let eqv a b =
-  match (a, b) with
-  | Int x, Int y -> Bignum.equal x y
-  | Bool x, Bool y -> x = y
-  | Sym x, Sym y -> String.equal x y
-  | Str x, Str y -> String.equal x y
-  | Char x, Char y -> x = y
-  | Nil, Nil | Unspecified, Unspecified | Undefined, Undefined -> true
-  | Pair x, Pair y -> x == y
-  | Vector x, Vector y -> x == y
-  | Closure x, Closure y -> x == y
-  | Prim x, Prim y -> String.equal x y
-  | _, _ -> false
+  let bool b = Bool b
+  let int z = Int z
+  let sym s = Sym s
+  let str s = Str s
+  let char c = Char c
+  let nil = Nil
+  let unspecified = Unspecified
+  let undefined = Undefined
+  let cons () a d = ((), Pair { car = a; cdr = d })
 
-let want_int name = function Int z -> z | _ -> err "%s: expected number" name
+  let list () vs =
+    ((), List.fold_right (fun v tail -> Pair { car = v; cdr = tail }) vs Nil)
 
-let want_index name = function
-  | Int z -> (
-      match Bignum.to_int z with
-      | Some n -> n
-      | None -> err "%s: index too large" name)
-  | _ -> err "%s: expected number" name
+  let list_bound () = max_int
+  let car () c = c.car
+  let cdr () c = c.cdr
+  let set_car () c v = c.car <- v
+  let set_cdr () c v = c.cdr <- v
+  let vector () vs = ((), Vector (Array.of_list vs))
+  let vector_length = Array.length
+  let vector_ref () a i = a.(i)
+  let vector_set () a i v = a.(i) <- v
+end
 
-let want_pair name = function Pair c -> c | _ -> err "%s: expected pair" name
+module P = Prim.Make (Repr)
 
-let chain name cmp args =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-        cmp (want_int name a) (want_int name b) && go rest
-    | _ -> true
-  in
-  if List.length args < 2 then err "%s: expected at least 2 arguments" name;
-  Bool (go args)
-
-let prim_apply name args =
-  match (name, args) with
-  | "+", args ->
-      Int (List.fold_left (fun acc v -> Bignum.add acc (want_int "+" v)) Bignum.zero args)
-  | "*", args ->
-      Int (List.fold_left (fun acc v -> Bignum.mul acc (want_int "*" v)) Bignum.one args)
-  | "-", [ a ] -> Int (Bignum.neg (want_int "-" a))
-  | "-", a :: rest ->
-      Int (List.fold_left (fun acc v -> Bignum.sub acc (want_int "-" v)) (want_int "-" a) rest)
-  | "quotient", [ a; b ] -> Int (Bignum.quotient (want_int "quotient" a) (want_int "quotient" b))
-  | "remainder", [ a; b ] -> Int (Bignum.remainder (want_int "remainder" a) (want_int "remainder" b))
-  | "modulo", [ a; b ] -> Int (Bignum.modulo (want_int "modulo" a) (want_int "modulo" b))
-  | "abs", [ a ] -> Int (Bignum.abs (want_int "abs" a))
-  | "=", args -> chain "=" (fun a b -> Bignum.compare a b = 0) args
-  | "<", args -> chain "<" (fun a b -> Bignum.compare a b < 0) args
-  | ">", args -> chain ">" (fun a b -> Bignum.compare a b > 0) args
-  | "<=", args -> chain "<=" (fun a b -> Bignum.compare a b <= 0) args
-  | ">=", args -> chain ">=" (fun a b -> Bignum.compare a b >= 0) args
-  | "zero?", [ a ] -> Bool (Bignum.is_zero (want_int "zero?" a))
-  | "not", [ a ] -> Bool (a = Bool false)
-  | "eq?", [ a; b ] | "eqv?", [ a; b ] -> Bool (eqv a b)
-  | "pair?", [ a ] -> Bool (match a with Pair _ -> true | _ -> false)
-  | "null?", [ a ] -> Bool (a = Nil)
-  | "procedure?", [ a ] ->
-      Bool (match a with Closure _ | Prim _ -> true | _ -> false)
-  | "cons", [ a; d ] -> Pair { car = a; cdr = d }
-  | "car", [ p ] -> (want_pair "car" p).car
-  | "cdr", [ p ] -> (want_pair "cdr" p).cdr
-  | "set-car!", [ p; v ] ->
-      (want_pair "set-car!" p).car <- v;
-      Unspecified
-  | "set-cdr!", [ p; v ] ->
-      (want_pair "set-cdr!" p).cdr <- v;
-      Unspecified
-  | "list", args -> list_of_values args
-  | "make-vector", [ n ] -> Vector (Array.make (want_index "make-vector" n) Unspecified)
-  | "make-vector", [ n; fill ] -> Vector (Array.make (want_index "make-vector" n) fill)
-  | "vector", args -> Vector (Array.of_list args)
-  | "vector-length", [ Vector a ] -> Int (Bignum.of_int (Array.length a))
-  | "vector-ref", [ Vector a; i ] ->
-      let i = want_index "vector-ref" i in
-      if i < 0 || i >= Array.length a then err "vector-ref: out of range";
-      a.(i)
-  | "vector-set!", [ Vector a; i; v ] ->
-      let i = want_index "vector-set!" i in
-      if i < 0 || i >= Array.length a then err "vector-set!: out of range";
-      a.(i) <- v;
-      Unspecified
-  | "error", parts ->
-      err "error: %s"
-        (String.concat " "
-           (List.map (function Str s -> s | Sym s -> s | _ -> "?") parts))
-  | name, _ -> err "%s: unknown primitive or bad arguments" name
-
+(* The subset of [Prim]'s table this machine binds as globals (the
+   corpus battery needs no more; [live_words] counts them). *)
 let prim_names =
   [
     "+"; "*"; "-"; "quotient"; "remainder"; "modulo"; "abs"; "="; "<"; ">";
@@ -270,6 +217,7 @@ type state = {
   mutable c : code;
   mutable d : dump_entry list;
   globals : (string, value) Hashtbl.t;
+  ctx : Prim.ctx;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -332,55 +280,6 @@ let live_words st =
   !total
 
 (* ------------------------------------------------------------------ *)
-(* Answers (rendered with the same conventions as Core.Answer)         *)
-
-let render v =
-  let buf = Buffer.create 32 in
-  let fuel = ref 10_000 in
-  let out s = if !fuel > 0 then (decr fuel; Buffer.add_string buf s) in
-  let rec emit v =
-    if !fuel > 0 then
-      match v with
-      | Bool true -> out "#t"
-      | Bool false -> out "#f"
-      | Int z -> out (Bignum.to_string z)
-      | Sym s -> out s
-      | Str s ->
-          out (Format.asprintf "%a" Tailspace_sexp.Datum.pp (Tailspace_sexp.Datum.Str s))
-      | Char c ->
-          out (Format.asprintf "%a" Tailspace_sexp.Datum.pp (Tailspace_sexp.Datum.Char c))
-      | Nil -> out "()"
-      | Unspecified -> out "#!unspecified"
-      | Undefined -> out "#!undefined"
-      | Closure _ | Prim _ -> out "#<PROC>"
-      | Vector arr ->
-          out "#(";
-          Array.iteri
-            (fun i x ->
-              if i > 0 then out " ";
-              emit x)
-            arr;
-          out ")"
-      | Pair cell ->
-          out "(";
-          emit cell.car;
-          tail cell.cdr;
-          out ")"
-  and tail = function
-    | Nil -> ()
-    | Pair cell ->
-        out " ";
-        emit cell.car;
-        tail cell.cdr
-    | v ->
-        out " . ";
-        emit v
-  in
-  emit v;
-  if !fuel <= 0 then Buffer.add_string buf "...";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
 type outcome =
@@ -424,7 +323,7 @@ let enter_closure st clo args ~push_frame =
   let frame = Array.make size Undefined in
   let rec fill i = function
     | args when i = t.nparams ->
-        if t.variadic then frame.(i) <- list_of_values args
+        if t.variadic then frame.(i) <- snd (Repr.list () args)
         else assert (args = [])
     | arg :: rest ->
         frame.(i) <- arg;
@@ -441,7 +340,7 @@ let enter_closure st clo args ~push_frame =
 let exec_instr st instr =
   match instr with
   | IConst c ->
-      st.s <- value_of_const c :: st.s;
+      st.s <- P.of_const c :: st.s;
       None
   | ILocal (d, i) -> (
       match frame_lookup st d i with
@@ -497,13 +396,17 @@ let exec_instr st instr =
           enter_closure st clo args ~push_frame:(not tail);
           None
       | Prim name ->
-          let result = prim_apply name args in
+          let result =
+            match P.find name with
+            | Some fn -> snd (fn st.ctx () args)
+            | None -> err "unknown primitive: %s" name
+          in
           if tail then do_return st result
           else begin
             st.s <- result :: st.s;
             None
           end
-      | v -> err "attempt to call a non-procedure (%s)" (render v))
+      | v -> err "attempt to call a non-procedure (%s)" (P.tag v))
   | IReturn -> do_return st (pop st)
 
 let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
@@ -513,7 +416,7 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
   let code = compile ~proper_tail_calls ?annot expr in
   let globals = Hashtbl.create 64 in
   List.iter (fun name -> Hashtbl.replace globals name (Prim name)) prim_names;
-  let st = { s = []; e = []; c = code; d = []; globals } in
+  let st = { s = []; e = []; c = code; d = []; globals; ctx = Prim.make_ctx () } in
   let peak = ref 0 in
   let steps = ref 0 in
   let measure () =
@@ -555,7 +458,7 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
       | [] -> (
           (* implicit return at the end of a code sequence *)
           match do_return st (pop st) with
-          | Some answer -> finish (Done (render answer))
+          | Some answer -> finish (Done (P.to_string () answer))
           | None ->
               incr steps;
               loop ())
@@ -563,10 +466,10 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
           st.c <- rest;
           incr steps;
           match exec_instr st instr with
-          | Some answer -> finish (Done (render answer))
+          | Some answer -> finish (Done (P.to_string () answer))
           | None -> loop ()))
   in
-  try loop () with Secd_error m -> finish (Error m)
+  try loop () with Secd_error m | Prim.Prim_error m -> finish (Error m)
 
 let run_program ?fuel ?budget ?proper_tail_calls ?telemetry ?annot ~program
     ~input () =

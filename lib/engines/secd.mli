@@ -23,7 +23,9 @@
 
     Supported language: Core Scheme as produced by the expander, minus
     [call/cc] (escapes are a feature of the reference machines' explicit
-    continuations; the SECD subset is documented in DESIGN.md). *)
+    continuations; the SECD subset is documented in DESIGN.md). The
+    primitives are {!Tailspace_core.Prim.Make} over this machine's
+    values, restricted to {!prim_names}. *)
 
 type outcome =
   | Done of string  (** rendered answer, same conventions as {!Tailspace_core.Answer} *)
@@ -34,6 +36,11 @@ type outcome =
           [Aborted (Out_of_fuel _)]. *)
 
 type result = { outcome : outcome; steps : int; peak_words : int }
+
+val prim_names : string list
+(** The primitives bound as globals: a subset of
+    [Tailspace_core.Prim.names ()]. Every other name is an unbound
+    global here. *)
 
 val run :
   ?fuel:int ->

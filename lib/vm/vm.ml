@@ -1,6 +1,5 @@
 module Ast = Tailspace_ast.Ast
 module Bignum = Tailspace_bignum.Bignum
-module Datum = Tailspace_sexp.Datum
 module Reader = Tailspace_sexp.Reader
 module Expand = Tailspace_expander.Expand
 module Machine = Tailspace_core.Machine
@@ -114,431 +113,59 @@ exception Fabort of Resilience.abort_reason
 
 let err fmt = Format.kasprintf (fun s -> raise (Fstuck s)) fmt
 
-let ftag = function
-  | FBool _ -> "boolean"
-  | FInt _ -> "number"
-  | FSym _ -> "symbol"
-  | FStr _ -> "string"
-  | FChar _ -> "character"
-  | FNil -> "empty list"
-  | FUnspec -> "unspecified"
-  | FUndef | FUnbound -> "undefined"
-  | FPair _ -> "pair"
-  | FVec _ -> "vector"
-  | FClos _ -> "closure"
-  | FCont _ -> "continuation"
-  | FPrim _ -> "primitive"
+(* The fast domain as a [Prim] representation: the heap is the OCaml
+   heap, mutated in place, and identity is physical. *)
+module Repr = struct
+  type value = fvalue
+  type heap = unit
+  type pair = pcell
+  type vector = fvalue array
 
-(* ------------------------------------------------------------------ *)
-(* Rendering (the same conventions as [Answer], store-free).           *)
+  let view : value -> (pair, vector) Prim.view = function
+    | FBool b -> Prim.Bool b
+    | FInt z -> Prim.Int z
+    | FSym s -> Prim.Sym s
+    | FStr s -> Prim.Str s
+    | FChar c -> Prim.Char c
+    | FNil -> Prim.Nil
+    | FUnspec -> Prim.Unspecified
+    | FUndef | FUnbound -> Prim.Undefined
+    | FPair p -> Prim.Pair p
+    | FVec a -> Prim.Vector a
+    | FClos _ -> Prim.Closure
+    | FCont _ -> Prim.Continuation
+    | FPrim name -> Prim.Primitive name
 
-type style = Display | Write
+  let same = ( == )
 
-let render ~style ~fuel v =
-  let buf = Buffer.create 64 in
-  let budget = ref fuel in
-  let out s =
-    if !budget > 0 then begin
-      decr budget;
-      Buffer.add_string buf s
-    end
-  in
-  let rec emit v =
-    if !budget > 0 then
-      match v with
-      | FBool true -> out "#t"
-      | FBool false -> out "#f"
-      | FInt z -> out (Bignum.to_string z)
-      | FSym s -> out s
-      | FStr s -> (
-          match style with
-          | Display -> out s
-          | Write -> out (Format.asprintf "%a" Datum.pp (Datum.Str s)))
-      | FChar c -> (
-          match style with
-          | Display -> out (String.make 1 c)
-          | Write -> out (Format.asprintf "%a" Datum.pp (Datum.Char c)))
-      | FNil -> out "()"
-      | FUnspec -> out "#!unspecified"
-      | FUndef | FUnbound -> out "#!undefined"
-      | FClos _ | FCont _ | FPrim _ -> out "#<PROC>"
-      | FVec elems ->
-          out "#(";
-          Array.iteri
-            (fun i v ->
-              if i > 0 then out " ";
-              emit v)
-            elems;
-          out ")"
-      | FPair p ->
-          out "(";
-          emit p.car;
-          emit_tail p.cdr;
-          out ")"
-  and emit_tail v =
-    if !budget > 0 then
-      match v with
-      | FNil -> ()
-      | FPair p ->
-          out " ";
-          emit p.car;
-          emit_tail p.cdr
-      | v ->
-          out " . ";
-          emit v
-  in
-  emit v;
-  if !budget <= 0 then Buffer.add_string buf "...";
-  Buffer.contents buf
+  let bool b = FBool b
+  let int z = FInt z
+  let sym s = FSym s
+  let str s = FStr s
+  let char c = FChar c
+  let nil = FNil
+  let unspecified = FUnspec
+  let undefined = FUndef
+  let cons () a d = ((), FPair { car = a; cdr = d })
 
-let fwrite v = render ~style:Write ~fuel:10_000 v
-let fdisplay v = render ~style:Display ~fuel:10_000 v
+  let list () vs =
+    ((), List.fold_right (fun v tail -> FPair { car = v; cdr = tail }) vs FNil)
 
-(* ------------------------------------------------------------------ *)
-(* Primitives over the fast domain: the same table as [Prim], same
-   error messages, physical identity where the stepper compares store
-   locations.                                                          *)
+  let list_bound () = 10_000_000
+  let car () p = p.car
+  let cdr () p = p.cdr
+  let set_car () p v = p.car <- v
+  let set_cdr () p v = p.cdr <- v
+  let vector () vs = ((), FVec (Array.of_list vs))
+  let vector_length = Array.length
+  let vector_ref () a i = a.(i)
+  let vector_set () a i v = a.(i) <- v
+end
 
-type fstate = { out : Buffer.t; mutable rng : int }
-
-let type_error name expected v =
-  err "%s: expected %s, got %s" name expected (ftag v)
-
-let arity name n args =
-  if List.length args <> n then
-    err "%s: expected %d arguments, got %d" name n (List.length args)
-
-let one name = function [ a ] -> a | args -> (arity name 1 args; assert false)
-
-let two name = function
-  | [ a; b ] -> (a, b)
-  | args -> (arity name 2 args; assert false)
-
-let three name = function
-  | [ a; b; c ] -> (a, b, c)
-  | args -> (arity name 3 args; assert false)
-
-let want_int name = function FInt z -> z | v -> type_error name "number" v
-
-let want_small_int name v =
-  match Bignum.to_int (want_int name v) with
-  | Some n -> n
-  | None -> err "%s: index too large" name
-
-let want_pair name = function FPair p -> p | v -> type_error name "pair" v
-let want_vector name = function FVec a -> a | v -> type_error name "vector" v
-let want_string name = function FStr s -> s | v -> type_error name "string" v
-let want_char name = function FChar c -> c | v -> type_error name "character" v
-let fbool b = FBool b
-
-let feqv a b =
-  match (a, b) with
-  | FBool x, FBool y -> x = y
-  | FInt x, FInt y -> Bignum.equal x y
-  | FSym x, FSym y -> String.equal x y
-  | FStr x, FStr y -> String.equal x y
-  | FChar x, FChar y -> x = y
-  | FNil, FNil | FUnspec, FUnspec | FUndef, FUndef -> true
-  | FPair p, FPair q -> p == q
-  | FVec x, FVec y -> x == y
-  | FClos c, FClos d -> c == d
-  | FCont k, FCont l -> k == l
-  | FPrim x, FPrim y -> String.equal x y
-  | _, _ -> false
-
-let fequal a b =
-  let fuel = ref 1_000_000 in
-  let rec go a b =
-    decr fuel;
-    if !fuel <= 0 then err "equal?: structure too deep (cyclic?)"
-    else
-      match (a, b) with
-      | FPair p, FPair q -> go p.car q.car && go p.cdr q.cdr
-      | FVec l1, FVec l2 ->
-          Array.length l1 = Array.length l2
-          && (let rec elems i =
-                i >= Array.length l1 || (go l1.(i) l2.(i) && elems (i + 1))
-              in
-              elems 0)
-      | a, b -> feqv a b
-  in
-  go a b
-
-let flist_to_values v =
-  (* Guards against cycles built with [set-cdr!], as the stepper's
-     store-cardinal bound does. *)
-  let rec go acc n v =
-    if n > 10_000_000 then None
-    else
-      match v with
-      | FNil -> Some (List.rev acc)
-      | FPair p -> go (p.car :: acc) (n + 1) p.cdr
-      | _ -> None
-  in
-  go [] 0 v
-
-let fvalues_to_list vs =
-  List.fold_right (fun v tail -> FPair { car = v; cdr = tail }) vs FNil
-
-let ftable : (string, fstate -> fvalue list -> fvalue) Hashtbl.t =
-  Hashtbl.create 97
-
-let fdefine name fn = Hashtbl.replace ftable name fn
-
-let fold_arith name init op _st args =
-  FInt (List.fold_left (fun acc v -> op acc (want_int name v)) init args)
-
-let compare_chain name cmp _st args =
-  let rec chain = function
-    | a :: (b :: _ as rest) ->
-        cmp (want_int name a) (want_int name b) && chain rest
-    | [ _ ] | [] -> true
-  in
-  if List.length args < 2 then err "%s: expected at least 2 arguments" name;
-  fbool (chain args)
-
-let () =
-  (* numbers *)
-  fdefine "+" (fold_arith "+" Bignum.zero Bignum.add);
-  fdefine "*" (fold_arith "*" Bignum.one Bignum.mul);
-  fdefine "-" (fun _ args ->
-      match args with
-      | [] -> err "-: expected at least 1 argument"
-      | [ a ] -> FInt (Bignum.neg (want_int "-" a))
-      | a :: rest ->
-          FInt
-            (List.fold_left
-               (fun acc v -> Bignum.sub acc (want_int "-" v))
-               (want_int "-" a) rest));
-  fdefine "quotient" (fun _ args ->
-      let a, b = two "quotient" args in
-      let b = want_int "quotient" b in
-      if Bignum.is_zero b then err "quotient: division by zero";
-      FInt (Bignum.quotient (want_int "quotient" a) b));
-  fdefine "remainder" (fun _ args ->
-      let a, b = two "remainder" args in
-      let b = want_int "remainder" b in
-      if Bignum.is_zero b then err "remainder: division by zero";
-      FInt (Bignum.remainder (want_int "remainder" a) b));
-  fdefine "modulo" (fun _ args ->
-      let a, b = two "modulo" args in
-      let b = want_int "modulo" b in
-      if Bignum.is_zero b then err "modulo: division by zero";
-      FInt (Bignum.modulo (want_int "modulo" a) b));
-  fdefine "=" (compare_chain "=" (fun a b -> Bignum.compare a b = 0));
-  fdefine "<" (compare_chain "<" (fun a b -> Bignum.compare a b < 0));
-  fdefine ">" (compare_chain ">" (fun a b -> Bignum.compare a b > 0));
-  fdefine "<=" (compare_chain "<=" (fun a b -> Bignum.compare a b <= 0));
-  fdefine ">=" (compare_chain ">=" (fun a b -> Bignum.compare a b >= 0));
-  fdefine "zero?" (fun _ args ->
-      fbool (Bignum.is_zero (want_int "zero?" (one "zero?" args))));
-  fdefine "positive?" (fun _ args ->
-      fbool (Bignum.sign (want_int "positive?" (one "positive?" args)) > 0));
-  fdefine "negative?" (fun _ args ->
-      fbool (Bignum.sign (want_int "negative?" (one "negative?" args)) < 0));
-  fdefine "even?" (fun _ args ->
-      let z = want_int "even?" (one "even?" args) in
-      fbool (Bignum.is_even z));
-  fdefine "odd?" (fun _ args ->
-      let z = want_int "odd?" (one "odd?" args) in
-      fbool (not (Bignum.is_even z)));
-  fdefine "abs" (fun _ args -> FInt (Bignum.abs (want_int "abs" (one "abs" args))));
-  fdefine "min" (fun _ args ->
-      match args with
-      | [] -> err "min: expected at least 1 argument"
-      | a :: rest ->
-          FInt
-            (List.fold_left
-               (fun acc v -> Bignum.min acc (want_int "min" v))
-               (want_int "min" a) rest));
-  fdefine "max" (fun _ args ->
-      match args with
-      | [] -> err "max: expected at least 1 argument"
-      | a :: rest ->
-          FInt
-            (List.fold_left
-               (fun acc v -> Bignum.max acc (want_int "max" v))
-               (want_int "max" a) rest));
-  fdefine "expt" (fun _ args ->
-      let a, b = two "expt" args in
-      let e = want_small_int "expt" b in
-      if e < 0 then err "expt: negative exponent";
-      FInt (Bignum.pow (want_int "expt" a) e));
-  fdefine "number->string" (fun _ args ->
-      FStr (Bignum.to_string (want_int "number->string" (one "number->string" args))));
-  fdefine "string->number" (fun _ args ->
-      let s = want_string "string->number" (one "string->number" args) in
-      match Bignum.of_string s with
-      | z -> FInt z
-      | exception Invalid_argument _ -> fbool false);
-  fdefine "random" (fun st args ->
-      let n = want_small_int "random" (one "random" args) in
-      if n <= 0 then err "random: bound must be positive";
-      (* The same 48-bit LCG as [Prim], so seeded runs agree with the
-         steppers under left-to-right evaluation. *)
-      st.rng <- ((st.rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-      FInt (Bignum.of_int (st.rng mod n)));
-
-  (* predicates *)
-  fdefine "eq?" (fun _ args ->
-      let a, b = two "eq?" args in
-      fbool (feqv a b));
-  fdefine "eqv?" (fun _ args ->
-      let a, b = two "eqv?" args in
-      fbool (feqv a b));
-  fdefine "equal?" (fun _ args ->
-      let a, b = two "equal?" args in
-      fbool (fequal a b));
-  fdefine "not" (fun _ args ->
-      fbool (match one "not" args with FBool false -> true | _ -> false));
-  let type_pred name p = fdefine name (fun _ args -> fbool (p (one name args))) in
-  type_pred "pair?" (function FPair _ -> true | _ -> false);
-  type_pred "null?" (function FNil -> true | _ -> false);
-  type_pred "boolean?" (function FBool _ -> true | _ -> false);
-  type_pred "symbol?" (function FSym _ -> true | _ -> false);
-  type_pred "number?" (function FInt _ -> true | _ -> false);
-  type_pred "integer?" (function FInt _ -> true | _ -> false);
-  type_pred "string?" (function FStr _ -> true | _ -> false);
-  type_pred "char?" (function FChar _ -> true | _ -> false);
-  type_pred "vector?" (function FVec _ -> true | _ -> false);
-  type_pred "procedure?" (function
-    | FClos _ | FCont _ | FPrim _ -> true
-    | _ -> false);
-
-  (* pairs and lists *)
-  fdefine "cons" (fun _ args ->
-      let a, d = two "cons" args in
-      FPair { car = a; cdr = d });
-  fdefine "car" (fun _ args -> (want_pair "car" (one "car" args)).car);
-  fdefine "cdr" (fun _ args -> (want_pair "cdr" (one "cdr" args)).cdr);
-  fdefine "set-car!" (fun _ args ->
-      let p, v = two "set-car!" args in
-      (want_pair "set-car!" p).car <- v;
-      FUnspec);
-  fdefine "set-cdr!" (fun _ args ->
-      let p, v = two "set-cdr!" args in
-      (want_pair "set-cdr!" p).cdr <- v;
-      FUnspec);
-  fdefine "list" (fun _ args -> fvalues_to_list args);
-
-  (* vectors *)
-  fdefine "make-vector" (fun _ args ->
-      let n, fill =
-        match args with
-        | [ n ] -> (n, FUnspec)
-        | [ n; fill ] -> (n, fill)
-        | _ -> err "make-vector: expected 1 or 2 arguments"
-      in
-      let n = want_small_int "make-vector" n in
-      if n < 0 then err "make-vector: negative length";
-      FVec (Array.make n fill));
-  fdefine "vector" (fun _ args -> FVec (Array.of_list args));
-  fdefine "vector-length" (fun _ args ->
-      FInt
-        (Bignum.of_int
-           (Array.length (want_vector "vector-length" (one "vector-length" args)))));
-  fdefine "vector-ref" (fun _ args ->
-      let v, i = two "vector-ref" args in
-      let a = want_vector "vector-ref" v in
-      let i = want_small_int "vector-ref" i in
-      if i < 0 || i >= Array.length a then err "vector-ref: index out of range";
-      a.(i));
-  fdefine "vector-set!" (fun _ args ->
-      let v, i, x = three "vector-set!" args in
-      let a = want_vector "vector-set!" v in
-      let i = want_small_int "vector-set!" i in
-      if i < 0 || i >= Array.length a then err "vector-set!: index out of range";
-      a.(i) <- x;
-      FUnspec);
-  fdefine "vector-fill!" (fun _ args ->
-      let v, x = two "vector-fill!" args in
-      Array.fill (want_vector "vector-fill!" v) 0
-        (Array.length (want_vector "vector-fill!" v))
-        x;
-      FUnspec);
-
-  (* strings (immutable) *)
-  fdefine "string-length" (fun _ args ->
-      FInt
-        (Bignum.of_int
-           (String.length (want_string "string-length" (one "string-length" args)))));
-  fdefine "string-ref" (fun _ args ->
-      let s, i = two "string-ref" args in
-      let s = want_string "string-ref" s in
-      let i = want_small_int "string-ref" i in
-      if i < 0 || i >= String.length s then err "string-ref: index out of range";
-      FChar s.[i]);
-  fdefine "string-append" (fun _ args ->
-      FStr (String.concat "" (List.map (want_string "string-append") args)));
-  fdefine "substring" (fun _ args ->
-      let s, i, j = three "substring" args in
-      let s = want_string "substring" s in
-      let i = want_small_int "substring" i
-      and j = want_small_int "substring" j in
-      if i < 0 || j < i || j > String.length s then err "substring: bad range";
-      FStr (String.sub s i (j - i)));
-  fdefine "string=?" (fun _ args ->
-      let a, b = two "string=?" args in
-      fbool (String.equal (want_string "string=?" a) (want_string "string=?" b)));
-  fdefine "string<?" (fun _ args ->
-      let a, b = two "string<?" args in
-      fbool
-        (String.compare (want_string "string<?" a) (want_string "string<?" b) < 0));
-  fdefine "string->symbol" (fun _ args ->
-      FSym (want_string "string->symbol" (one "string->symbol" args)));
-  fdefine "symbol->string" (fun _ args ->
-      match one "symbol->string" args with
-      | FSym s -> FStr s
-      | v -> type_error "symbol->string" "symbol" v);
-  fdefine "string->list" (fun _ args ->
-      let s = want_string "string->list" (one "string->list" args) in
-      fvalues_to_list (List.init (String.length s) (fun i -> FChar s.[i])));
-
-  (* characters *)
-  fdefine "char->integer" (fun _ args ->
-      FInt
-        (Bignum.of_int
-           (Char.code (want_char "char->integer" (one "char->integer" args)))));
-  fdefine "integer->char" (fun _ args ->
-      let n = want_small_int "integer->char" (one "integer->char" args) in
-      if n < 0 || n > 255 then err "integer->char: out of range";
-      FChar (Char.chr n));
-  fdefine "char=?" (fun _ args ->
-      let a, b = two "char=?" args in
-      fbool (want_char "char=?" a = want_char "char=?" b));
-  fdefine "char<?" (fun _ args ->
-      let a, b = two "char<?" args in
-      fbool (want_char "char<?" a < want_char "char<?" b));
-
-  (* output *)
-  fdefine "display" (fun st args ->
-      Buffer.add_string st.out (fdisplay (one "display" args));
-      FUnspec);
-  fdefine "write" (fun st args ->
-      Buffer.add_string st.out (fwrite (one "write" args));
-      FUnspec);
-  fdefine "newline" (fun st args ->
-      arity "newline" 0 args;
-      Buffer.add_char st.out '\n';
-      FUnspec);
-
-  (* errors *)
-  fdefine "error" (fun _ args ->
-      let parts = List.map (function FStr s -> s | v -> fwrite v) args in
-      err "error: %s" (String.concat " " parts))
+module P = Prim.Make (Repr)
 
 (* ------------------------------------------------------------------ *)
 (* The compiler: expanded AST -> flat instruction array.               *)
-
-let fvalue_of_const : Ast.const -> fvalue = function
-  | Ast.C_bool b -> FBool b
-  | Ast.C_int z -> FInt z
-  | Ast.C_sym s -> FSym s
-  | Ast.C_str s -> FStr s
-  | Ast.C_char c -> FChar c
-  | Ast.C_nil -> FNil
-  | Ast.C_unspecified -> FUnspec
-  | Ast.C_undefined -> FUndef
 
 let new_world () =
   {
@@ -644,7 +271,7 @@ let compile_unit ?annot w expr =
     let tail = resolve_tail e tail in
     match (e : Ast.expr) with
     | Ast.Quote c ->
-        ignore (emit w ~note:(const_note c) (Const (add_const w (fvalue_of_const c))));
+        ignore (emit w ~note:(const_note c) (Const (add_const w (P.of_const c))));
         if tail then ignore (emit w Return)
     | Ast.Var x ->
         (match resolve cenv x with
@@ -720,7 +347,7 @@ type rstate = {
   mutable env : rib;
   mutable pc : int;
   mutable steps : int;
-  fst : fstate;
+  ctx : Prim.ctx;
 }
 
 let new_rstate ~seed =
@@ -733,7 +360,7 @@ let new_rstate ~seed =
     env = rnil;
     pc = 0;
     steps = 0;
-    fst = { out = Buffer.create 64; rng = seed };
+    ctx = Prim.make_ctx ~seed ();
   }
 
 let run_unit w st ~guard ~entry =
@@ -796,7 +423,7 @@ let run_unit w st ~guard ~entry =
     let slots = Array.make (max size 1) FUnspec in
     let rec fill i = function
       | args when i >= np ->
-          if t.variadic then slots.(np) <- fvalues_to_list args
+          if t.variadic then slots.(np) <- snd (Repr.list () args)
       | a :: rest ->
           slots.(i) <- a;
           fill (i + 1) rest
@@ -839,7 +466,7 @@ let run_unit w st ~guard ~entry =
         match args with
         | [ v ] -> restore_cont k v
         | _ -> err "continuation expects 1 value, got %d" (List.length args))
-    | v -> err "attempt to call a non-procedure (%s)" (ftag v)
+    | v -> err "attempt to call a non-procedure (%s)" (P.tag v)
   and invoke_prim ~tail name args =
     match name with
     | "apply" -> (
@@ -849,7 +476,7 @@ let run_unit w st ~guard ~entry =
               let r = List.rev rest in
               (List.rev (List.tl r), List.hd r)
             in
-            match flist_to_values last with
+            match P.list_to_values () last with
             | Some flattened -> invoke_list ~tail f (middle @ flattened)
             | None -> err "apply: last argument is not a proper list")
         | _ -> err "apply: expected a procedure and an argument list")
@@ -858,10 +485,10 @@ let run_unit w st ~guard ~entry =
         | [ f ] -> invoke_list ~tail f [ capture ~tail ]
         | _ -> err "call/cc: expected exactly 1 argument")
     | _ -> (
-        match Hashtbl.find_opt ftable name with
+        match P.find name with
         | None -> err "unknown primitive: %s" name
         | Some fn ->
-            let v = fn st.fst args in
+            let (), v = fn st.ctx () args in
             if tail then begin
               pop_frame ();
               push v
@@ -879,7 +506,7 @@ let run_unit w st ~guard ~entry =
     if st.steps land 255 = 0 || st.steps >= !limit then begin
       (match
          Resilience.Guard.check guard ~steps:st.steps
-           ~output_bytes:(Buffer.length st.fst.out)
+           ~output_bytes:(Buffer.length st.ctx.output)
        with
       | Some reason -> raise (Fabort reason)
       | None -> ());
@@ -958,7 +585,7 @@ let run_unit w st ~guard ~entry =
             match pop_args n with
             | [ v ] -> restore_cont k v
             | args -> err "continuation expects 1 value, got %d" (List.length args))
-        | v -> err "attempt to call a non-procedure (%s)" (ftag v))
+        | v -> err "attempt to call a non-procedure (%s)" (P.tag v))
     | Return ->
         let v = st.stack.(st.sp - 1) in
         st.sp <- st.sp - 1;
@@ -1003,7 +630,8 @@ let fresh_world ?annot () =
       let entry = compile_unit ?annot w expr in
       match run_unit w st ~guard ~entry with
       | v -> w.gvals.(slot) <- v
-      | exception Fstuck m -> failwith (Printf.sprintf "vm: prelude: %s: %s" name m))
+      | exception (Fstuck m | Prim.Prim_error m) ->
+          failwith (Printf.sprintf "vm: prelude: %s: %s" name m))
     (Lazy.force prelude_defs);
   w
 
@@ -1061,7 +689,7 @@ let disassemble c =
     let rel = pc - c.main_lo in
     let note = c.w.meta.(pc) in
     match rebase_instr c c.w.code.(pc) with
-    | Const i -> line rel (Printf.sprintf "CONST %s" (fwrite c.w.pool.(i))) ""
+    | Const i -> line rel (Printf.sprintf "CONST %s" (P.write () c.w.pool.(i))) ""
     | Local (d, i) -> line rel (Printf.sprintf "LOCAL %d.%d" d i) note
     | Global _ -> line rel (Printf.sprintf "GLOBAL %s" note) ""
     | SetLocal (d, i) -> line rel (Printf.sprintf "SETLOCAL %d.%d" d i) note
@@ -1091,13 +719,13 @@ let run_fast_with ~fuel ~budget ~seed c =
   let st = new_rstate ~seed in
   let outcome =
     match run_unit c.w st ~guard ~entry:c.entry with
-    | v -> Done (fwrite v)
-    | exception Fstuck m -> Stuck m
+    | v -> Done (P.write () v)
+    | exception (Fstuck m | Prim.Prim_error m) -> Stuck m
     | exception Invalid_argument m -> Stuck m
     | exception Fabort reason -> Aborted reason
   in
   fast_result ~outcome ~steps:st.steps ~psize:c.psize
-    ~output:(Buffer.contents st.fst.out)
+    ~output:(Buffer.contents st.ctx.output)
 
 let run_fast ?(fuel = 20_000_000) ?budget c =
   let budget = Option.value budget ~default:Resilience.Budget.unlimited in

@@ -13,8 +13,10 @@
     injection, no linked or log measurement: every measured run belongs
     to the stepper ({!Machine.exec}).
 
-    Answers are differentially checked against the Tail stepper by
-    [Tailspace_harness.Oracle]. *)
+    Primitives and the answer printer are {!Tailspace_core.Prim.Make}
+    over the fast value domain, so error messages and rendered answers
+    are the stepper's. Answers are differentially checked against the
+    Tail stepper by [Tailspace_harness.Oracle]. *)
 
 module Ast = Tailspace_ast.Ast
 module Machine = Tailspace_core.Machine

@@ -140,6 +140,20 @@ let test_secd_errors () =
   Alcotest.(check bool) "arity" true
     (String.length got > 6 && String.sub got 0 6 = "error:")
 
+let test_secd_domain_errors () =
+  (* A primitive's domain error is an [Error] outcome, not an OCaml
+     exception escaping [run]. *)
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) src expected
+        (secd_answer ("(lambda (n) " ^ src ^ ")") 0))
+    [
+      ("(quotient 1 0)", "error: quotient: division by zero");
+      ("(remainder 1 0)", "error: remainder: division by zero");
+      ("(modulo 1 0)", "error: modulo: division by zero");
+      ("(make-vector -1)", "error: make-vector: negative length");
+    ]
+
 let secd_peak ?(proper = true) src n =
   let program = E.program_of_string src in
   let r = S.run_program ~proper_tail_calls:proper ~program ~input:(input n) () in
@@ -282,6 +296,7 @@ let () =
           Alcotest.test_case "answers" `Quick test_secd_answers;
           Alcotest.test_case "matches reference" `Quick test_secd_matches_reference;
           Alcotest.test_case "errors" `Quick test_secd_errors;
+          Alcotest.test_case "domain errors" `Quick test_secd_domain_errors;
           Alcotest.test_case "tail recursion space" `Quick test_secd_tail_recursion_space;
           Alcotest.test_case "join points" `Quick test_secd_join_points;
         ] );

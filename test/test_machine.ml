@@ -5,6 +5,11 @@ module M = Tailspace_core.Machine
 module T = Tailspace_core.Types
 module E = Tailspace_expander.Expand
 module Res = Tailspace_resilience.Resilience
+module A = Tailspace_ast.Ast
+module Prim = Tailspace_core.Prim
+module D = Tailspace_engines.Denotational
+module S = Tailspace_engines.Secd
+module Vm = Tailspace_vm.Vm
 
 let answer ?(variant = M.Tail) ?perm ?stack_policy ?fuel src =
   let t = M.create_with (M.Config.make ~variant ?perm ?stack_policy ()) in
@@ -82,17 +87,243 @@ let test_letrec_semantics () =
   check "define sees later define"
     "(define (f) (g)) (define (g) 'late) (f)" "late"
 
+(* One source, run as [(lambda (n) src)] applied to 0 on every engine
+   that can run it: the stepper (Tail), the denotational engine, vm-fast,
+   and the SECD machine when it binds every global the source uses.
+   Each outcome is the answer or "stuck: <message>". *)
+let engine_outcomes src =
+  let program = E.program_of_string ("(lambda (n) " ^ src ^ ")") in
+  let input = A.Quote (A.C_int Tailspace_bignum.Bignum.zero) in
+  let stuck m = "stuck: " ^ m and aborted = "aborted" in
+  let stepper =
+    match (M.exec_program (M.create_with M.Config.default) ~program ~input).M.outcome with
+    | M.Done { answer; _ } -> answer
+    | M.Stuck m -> stuck m
+    | M.Aborted _ -> aborted
+  in
+  let denotational =
+    match D.eval_program ~program ~input () with
+    | D.Done a -> a
+    | D.Error m -> stuck m
+    | D.Aborted _ -> aborted
+  in
+  let vm_fast =
+    match (Vm.exec_program (M.Config.make ~engine:M.Vm_fast ()) ~program ~input).Vm.outcome with
+    | Vm.Done a -> a
+    | Vm.Stuck m -> stuck m
+    | Vm.Aborted _ -> aborted
+  in
+  let secd =
+    if A.Iset.for_all (fun x -> List.mem x S.prim_names) (A.free_vars program)
+    then
+      match (S.run_program ~program ~input ()).S.outcome with
+      | S.Done a -> [ ("secd", a) ]
+      | S.Error m -> [ ("secd", stuck m) ]
+      | S.Aborted _ -> [ ("secd", aborted) ]
+    else []
+  in
+  [ ("stepper", stepper); ("denotational", denotational); ("vm-fast", vm_fast) ]
+  @ secd
+
+let check_everywhere src expected =
+  List.iter
+    (fun (engine, got) ->
+      Alcotest.(check string) (Printf.sprintf "%s on %s" src engine) expected got)
+    (engine_outcomes src)
+
 let test_stuck_states () =
-  check_stuck "unbound" "undefined-variable" "unbound variable";
-  check_stuck "call number" "(5 1)" "non-procedure";
-  check_stuck "arity over" "((lambda (x) x) 1 2)" "arity";
-  check_stuck "arity under" "((lambda (x y) x) 1)" "arity";
-  check_stuck "car of atom" "(car 5)" "expected pair";
-  check_stuck "vector oob" "(vector-ref (vector 1) 3)" "out of range";
-  check_stuck "div zero" "(quotient 1 0)" "division by zero";
-  check_stuck "set! unbound" "(set! nowhere 1)" "unbound";
-  check_stuck "error prim" "(error \"boom\")" "boom";
-  check_stuck "apply improper" "(apply + 1)" "proper list"
+  List.iter
+    (fun (src, expected) -> check_everywhere src expected)
+    [
+      ("undefined-variable", "stuck: unbound variable: undefined-variable");
+      ("(5 1)", "stuck: attempt to call a non-procedure (number)");
+      ("((lambda (x) x) 1 2)", "stuck: arity: procedure expects 1 arguments, got 2");
+      ("((lambda (x y) x) 1)", "stuck: arity: procedure expects 2 arguments, got 1");
+      ("((lambda (a b . r) r) 1)", "stuck: arity: procedure expects at least 2 arguments, got 1");
+      ("(set! nowhere 1)", "stuck: set!: unbound variable nowhere");
+      ("(call/cc (lambda (k) (k 1 2)))", "stuck: continuation expects 1 value, got 2");
+      ("(apply + 1)", "stuck: apply: last argument is not a proper list");
+    ]
+
+(* Every primitive of [Prim]'s table, with the answer or stuck message
+   every engine must give (rows are [(primitive, source, expected)]). *)
+let primitive_rows =
+  [
+    ("+", "(+ 1 2 3)", "6");
+    ("+", "(+ 1 #t)", "stuck: +: expected number, got boolean");
+    ("*", "(* 2 3 4)", "24");
+    ("*", "(* 2 \"x\")", "stuck: *: expected number, got string");
+    ("-", "(- 10 3 2)", "5");
+    ("-", "(- 5)", "-5");
+    ("-", "(-)", "stuck: -: expected at least 1 argument");
+    ("quotient", "(quotient 17 5)", "3");
+    ("quotient", "(quotient 1 0)", "stuck: quotient: division by zero");
+    ("quotient", "(quotient 1)", "stuck: quotient: expected 2 arguments, got 1");
+    ("remainder", "(remainder -17 5)", "-2");
+    ("remainder", "(remainder 1 0)", "stuck: remainder: division by zero");
+    ("modulo", "(modulo -17 5)", "3");
+    ("modulo", "(modulo 1 0)", "stuck: modulo: division by zero");
+    ("modulo", "(modulo 'a 2)", "stuck: modulo: expected number, got symbol");
+    ("=", "(= 2 2 2)", "#t");
+    ("=", "(= 1)", "stuck: =: expected at least 2 arguments");
+    ("<", "(< 1 2 3)", "#t");
+    ("<", "(< 1 'x)", "stuck: <: expected number, got symbol");
+    (">", "(> 3 2 2)", "#f");
+    (">", "(> 1 '())", "stuck: >: expected number, got empty list");
+    ("<=", "(<= 1 1 2)", "#t");
+    ("<=", "(<= #\\a 1)", "stuck: <=: expected number, got character");
+    (">=", "(>= 2 1)", "#t");
+    (">=", "(>= 1)", "stuck: >=: expected at least 2 arguments");
+    ("zero?", "(zero? 0)", "#t");
+    ("zero?", "(zero? 'a)", "stuck: zero?: expected number, got symbol");
+    ("positive?", "(positive? 5)", "#t");
+    ("positive?", "(positive? 1 2)", "stuck: positive?: expected 1 arguments, got 2");
+    ("negative?", "(negative? 5)", "#f");
+    ("negative?", "(negative? \"5\")", "stuck: negative?: expected number, got string");
+    ("even?", "(even? 10)", "#t");
+    ("even?", "(even?)", "stuck: even?: expected 1 arguments, got 0");
+    ("odd?", "(odd? 10)", "#f");
+    ("odd?", "(odd? #t)", "stuck: odd?: expected number, got boolean");
+    ("abs", "(abs -7)", "7");
+    ("abs", "(abs 'x)", "stuck: abs: expected number, got symbol");
+    ("min", "(min 3 1 2)", "1");
+    ("min", "(min)", "stuck: min: expected at least 1 argument");
+    ("max", "(max 3 1 2)", "3");
+    ("max", "(max 1 'a)", "stuck: max: expected number, got symbol");
+    ("expt", "(expt 2 100)", "1267650600228229401496703205376");
+    ("expt", "(expt 2 -1)", "stuck: expt: negative exponent");
+    ("number->string", "(number->string 42)", "\"42\"");
+    ("number->string", "(number->string 'a)", "stuck: number->string: expected number, got symbol");
+    ("string->number", "(string->number \"123\")", "123");
+    ("string->number", "(string->number \"abc\")", "#f");
+    ("string->number", "(string->number 5)", "stuck: string->number: expected string, got number");
+    ("random", "(< (random 10) 10)", "#t");
+    ("random", "(random 0)", "stuck: random: bound must be positive");
+    ("eq?", "(eq? 'a 'a)", "#t");
+    ("eq?", "(let ((p (cons 1 2))) (eq? p p))", "#t");
+    ("eq?", "(eq? (cons 1 2) (cons 1 2))", "#f");
+    ("eq?", "(eq? 1)", "stuck: eq?: expected 2 arguments, got 1");
+    ("eqv?", "(eqv? 100000000000000000000 100000000000000000000)", "#t");
+    ("eqv?", "(eqv? car car)", "#t");
+    ("eqv?", "(let ((f (lambda (x) x))) (eqv? f f))", "#t");
+    ("eqv?", "(eqv? (lambda (x) x) (lambda (x) x))", "#f");
+    ("eqv?", "(eqv? 1 2 3)", "stuck: eqv?: expected 2 arguments, got 3");
+    ("equal?", "(equal? (list 1 (vector 2 \"x\")) (list 1 (vector 2 \"x\")))", "#t");
+    ("equal?", "(equal? (vector 1) (vector 2))", "#f");
+    ("equal?", "(equal? 1)", "stuck: equal?: expected 2 arguments, got 1");
+    ("not", "(not #f)", "#t");
+    ("not", "(not 0)", "#f");
+    ("not", "(not)", "stuck: not: expected 1 arguments, got 0");
+    ("pair?", "(pair? (cons 1 2))", "#t");
+    ("pair?", "(pair? '())", "#f");
+    ("pair?", "(pair? 1 2)", "stuck: pair?: expected 1 arguments, got 2");
+    ("null?", "(null? '())", "#t");
+    ("null?", "(null?)", "stuck: null?: expected 1 arguments, got 0");
+    ("boolean?", "(boolean? #f)", "#t");
+    ("boolean?", "(boolean?)", "stuck: boolean?: expected 1 arguments, got 0");
+    ("symbol?", "(symbol? 'a)", "#t");
+    ("symbol?", "(symbol? 'a 'b)", "stuck: symbol?: expected 1 arguments, got 2");
+    ("number?", "(number? 1)", "#t");
+    ("number?", "(number?)", "stuck: number?: expected 1 arguments, got 0");
+    ("integer?", "(integer? \"1\")", "#f");
+    ("integer?", "(integer?)", "stuck: integer?: expected 1 arguments, got 0");
+    ("string?", "(string? \"s\")", "#t");
+    ("string?", "(string?)", "stuck: string?: expected 1 arguments, got 0");
+    ("char?", "(char? #\\a)", "#t");
+    ("char?", "(char?)", "stuck: char?: expected 1 arguments, got 0");
+    ("vector?", "(vector? (vector))", "#t");
+    ("vector?", "(vector?)", "stuck: vector?: expected 1 arguments, got 0");
+    ("procedure?", "(procedure? car)", "#t");
+    ("procedure?", "(procedure? (lambda (x) x))", "#t");
+    ("procedure?", "(call/cc procedure?)", "#t");
+    ("procedure?", "(procedure? 'car)", "#f");
+    ("procedure?", "(procedure?)", "stuck: procedure?: expected 1 arguments, got 0");
+    ("cons", "(cons 1 2)", "(1 . 2)");
+    ("cons", "(cons 1)", "stuck: cons: expected 2 arguments, got 1");
+    ("car", "(car (list 1 2))", "1");
+    ("car", "(car 5)", "stuck: car: expected pair, got number");
+    ("cdr", "(cdr (list 1 2))", "(2)");
+    ("cdr", "(cdr '())", "stuck: cdr: expected pair, got empty list");
+    ("set-car!", "(let ((p (cons 1 2))) (set-car! p 'x) p)", "(x . 2)");
+    ("set-car!", "(set-car! '() 1)", "stuck: set-car!: expected pair, got empty list");
+    ("set-cdr!", "(let ((p (cons 1 2))) (set-cdr! p (list 3)) p)", "(1 3)");
+    ("set-cdr!", "(set-cdr! (cons 1 2))", "stuck: set-cdr!: expected 2 arguments, got 1");
+    ("list", "(list 1 2 3)", "(1 2 3)");
+    ("list", "(list)", "()");
+    ("make-vector", "(make-vector 2 'a)", "#(a a)");
+    ("make-vector", "(make-vector 1)", "#(#!unspecified)");
+    ("make-vector", "(make-vector -1)", "stuck: make-vector: negative length");
+    ("make-vector", "(make-vector)", "stuck: make-vector: expected 1 or 2 arguments");
+    ("vector", "(vector 1 'a #t)", "#(1 a #t)");
+    ("vector", "(vector)", "#()");
+    ("vector-length", "(vector-length (vector 1 2))", "2");
+    ("vector-length", "(vector-length (list 1))", "stuck: vector-length: expected vector, got pair");
+    ("vector-ref", "(vector-ref (vector 1 2) 1)", "2");
+    ("vector-ref", "(vector-ref (vector 1) 3)", "stuck: vector-ref: index out of range");
+    ("vector-ref", "(vector-ref (vector 1) 'a)", "stuck: vector-ref: expected number, got symbol");
+    ("vector-set!", "(let ((v (make-vector 2 0))) (vector-set! v 1 9) v)", "#(0 9)");
+    ("vector-set!", "(vector-set! (vector 1) 1 0)", "stuck: vector-set!: index out of range");
+    ("vector-set!", "(vector-set! (vector 1) 0)", "stuck: vector-set!: expected 3 arguments, got 2");
+    ("vector-fill!", "(let ((v (vector 1 2))) (vector-fill! v 'z) v)", "#(z z)");
+    ("vector-fill!", "(vector-fill! 1 2)", "stuck: vector-fill!: expected vector, got number");
+    ("string-length", "(string-length \"abc\")", "3");
+    ("string-length", "(string-length 'abc)", "stuck: string-length: expected string, got symbol");
+    ("string-ref", "(string-ref \"abc\" 1)", "#\\b");
+    ("string-ref", "(string-ref \"abc\" 3)", "stuck: string-ref: index out of range");
+    ("string-append", "(string-append \"a\" \"b\" \"c\")", "\"abc\"");
+    ("string-append", "(string-append \"a\" 1)", "stuck: string-append: expected string, got number");
+    ("substring", "(substring \"hello\" 1 3)", "\"el\"");
+    ("substring", "(substring \"abc\" 2 1)", "stuck: substring: bad range");
+    ("string=?", "(string=? \"a\" \"a\")", "#t");
+    ("string=?", "(string=? \"a\" 'a)", "stuck: string=?: expected string, got symbol");
+    ("string<?", "(string<? \"a\" \"b\")", "#t");
+    ("string<?", "(string<? \"a\")", "stuck: string<?: expected 2 arguments, got 1");
+    ("string->symbol", "(string->symbol \"abc\")", "abc");
+    ("string->symbol", "(string->symbol 1)", "stuck: string->symbol: expected string, got number");
+    ("symbol->string", "(symbol->string 'abc)", "\"abc\"");
+    ("symbol->string", "(symbol->string \"abc\")", "stuck: symbol->string: expected symbol, got string");
+    ("string->list", "(string->list \"ab\")", "(#\\a #\\b)");
+    ("string->list", "(string->list 'a)", "stuck: string->list: expected string, got symbol");
+    ("char->integer", "(char->integer #\\A)", "65");
+    ("char->integer", "(char->integer 65)", "stuck: char->integer: expected character, got number");
+    ("integer->char", "(integer->char 97)", "#\\a");
+    ("integer->char", "(integer->char 256)", "stuck: integer->char: out of range");
+    ("char=?", "(char=? #\\a #\\a)", "#t");
+    ("char=?", "(char=? #\\a)", "stuck: char=?: expected 2 arguments, got 1");
+    ("char<?", "(char<? #\\a #\\b)", "#t");
+    ("char<?", "(char<? #\\a \"b\")", "stuck: char<?: expected character, got string");
+    ("display", "(display \"x\")", "#!unspecified");
+    ("display", "(display)", "stuck: display: expected 1 arguments, got 0");
+    ("write", "(write 'x)", "#!unspecified");
+    ("write", "(write 1 2)", "stuck: write: expected 1 arguments, got 2");
+    ("newline", "(newline)", "#!unspecified");
+    ("newline", "(newline 1)", "stuck: newline: expected 0 arguments, got 1");
+    ("error", "(error \"boom\" 'a 1 \"s\")", "stuck: error: boom a 1 s");
+  ]
+
+let test_primitives_agree () =
+  List.iter (fun (_, src, expected) -> check_everywhere src expected) primitive_rows
+
+(* [list] and [vector] take any arguments, so they have no error row;
+   [error] never answers. *)
+let no_error_row = [ "list"; "vector" ]
+let no_answer_row = [ "error" ]
+
+let test_every_primitive_covered () =
+  let is_stuck expected = String.starts_with ~prefix:"stuck: " expected in
+  let has name p =
+    List.exists (fun (n, _, expected) -> n = name && p expected) primitive_rows
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem name [ "apply"; "call-with-current-continuation"; "call/cc" ])
+      then begin
+        if not (List.mem name no_answer_row || has name (fun e -> not (is_stuck e)))
+        then Alcotest.failf "%s has no answer row" name;
+        if not (List.mem name no_error_row || has name is_stuck) then
+          Alcotest.failf "%s has no error row" name
+      end)
+    (Prim.names ())
 
 let test_variadic () =
   check "rest all" "((lambda args args) 1 2 3)" "(1 2 3)";
@@ -313,6 +544,10 @@ let () =
       ( "machinery",
         [
           Alcotest.test_case "stuck states" `Quick test_stuck_states;
+          Alcotest.test_case "primitives agree across engines" `Quick
+            test_primitives_agree;
+          Alcotest.test_case "every primitive has rows" `Quick
+            test_every_primitive_covered;
           Alcotest.test_case "output" `Quick test_output;
           Alcotest.test_case "display vs write" `Quick test_display_vs_write;
           Alcotest.test_case "fuel" `Quick test_fuel;
