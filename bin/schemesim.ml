@@ -235,8 +235,7 @@ let resolve_engine ~engine ~vm_fast ~variant ~perm ~measure =
       usage "--engine vm-fast evaluates left-to-right only (--perm ltr)";
     if SM.normalize measure <> [ SM.Flat ] then
       usage
-        "--engine vm-fast measures only the flat model (drop \
-         --linked/--model)"
+        "--engine vm-fast measures only the flat model (drop --model)"
   end;
   engine
 
@@ -266,13 +265,6 @@ let output_cap_arg =
 let make_budget ?timeout_s ?space_words ?output_bytes () =
   Res.Budget.make ?timeout_s ?space_words ?output_bytes ()
 
-let linked_arg =
-  let doc =
-    "Also measure the linked-environment space model (Figure 8); shorthand \
-     for --model linked."
-  in
-  Arg.(value & flag & info [ "linked" ] ~doc)
-
 let model_conv =
   let parse s =
     match SM.of_name (String.lowercase_ascii (String.trim s)) with
@@ -289,16 +281,9 @@ let model_arg =
   let doc =
     "Extra space models to measure, comma-separated: flat (Figure 7, always \
      measured), linked (Figure 8's dedup'd bindings), log (pointer-size \
-     accounting — every linked unit at ceil(log2 |store|) bits). Composes \
-     with --linked."
+     accounting — every linked unit at ceil(log2 |store|) bits)."
   in
   Arg.(value & opt (list model_conv) [] & info [ "model" ] ~docv:"MODELS" ~doc)
-
-(* The measure list a command runs under: --model's list plus the
-   --linked shorthand, normalized (Flat always present, canonical
-   order). *)
-let measure_of ~linked ~models =
-  SM.normalize (models @ if linked then [ SM.Linked ] else [])
 
 (* "; linked peak U=..." / "; log peak Log=..." footer lines of the
    plain-text reports, one per heavy model measured. Definition 23
@@ -400,10 +385,10 @@ let run_cmd =
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
   let run file expr input variant perm stack_policy no_annot engine vm_fast
-      fuel timeout space_budget output_cap linked models trace_steps profile
+      fuel timeout space_budget output_cap models trace_steps profile
       json ring =
     with_program file expr @@ fun program_name program ->
-    let measure = measure_of ~linked ~models in
+    let measure = SM.normalize models in
     let engine = resolve_engine ~engine ~vm_fast ~variant ~perm ~measure in
     let budget =
       make_budget ?timeout_s:timeout ?space_words:space_budget
@@ -561,8 +546,8 @@ let run_cmd =
     Term.(
       const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
       $ stack_policy_arg $ no_annot_arg $ engine_arg $ vm_fast_arg $ fuel_arg
-      $ timeout_arg $ space_budget_arg $ output_cap_arg $ linked_arg
-      $ model_arg $ trace_arg $ profile_arg $ json_arg $ ring_arg)
+      $ timeout_arg $ space_budget_arg $ output_cap_arg $ model_arg
+      $ trace_arg $ profile_arg $ json_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -590,9 +575,9 @@ let profile_cmd =
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
   let profile file expr input variant perm stack_policy no_annot fuel timeout
-      space_budget output_cap linked models csv stride events =
+      space_budget output_cap models csv stride events =
     with_program file expr @@ fun program_name program ->
-    let measure = measure_of ~linked ~models in
+    let measure = SM.normalize models in
     let budget =
       make_budget ?timeout_s:timeout ?space_words:space_budget
         ?output_bytes:output_cap ()
@@ -650,7 +635,7 @@ let profile_cmd =
     Term.(
       const profile $ file_pos_arg $ expr_arg $ input_arg $ variant_arg
       $ perm_arg $ stack_policy_arg $ no_annot_arg $ fuel_arg $ timeout_arg
-      $ space_budget_arg $ output_cap_arg $ linked_arg $ model_arg $ csv_arg
+      $ space_budget_arg $ output_cap_arg $ model_arg $ csv_arg
       $ stride_arg $ events_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -842,7 +827,7 @@ let bench_cmd =
       | None -> [])
   in
   let bench file expr name_opt ns variant perm stack_policy no_annot engine
-      vm_fast fuel timeout space_budget output_cap linked models json
+      vm_fast fuel timeout space_budget output_cap models json
       keep_going jobs cache_dir baseline_out compare new_pos wall_band
       space_band =
     if compare then begin
@@ -855,7 +840,7 @@ let bench_cmd =
              --compare OLD NEW@.";
           exit 2
     end;
-    let measure = measure_of ~linked ~models in
+    let measure = SM.normalize models in
     let engine = resolve_engine ~engine ~vm_fast ~variant ~perm ~measure in
     (* [cache_source] is the program's identity in the cache key: the
        corpus tag, or the source text itself for files and inline
@@ -1079,7 +1064,7 @@ let bench_cmd =
       const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
       $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ engine_arg
       $ vm_fast_arg $ fuel_arg $ timeout_arg $ space_budget_arg
-      $ output_cap_arg $ linked_arg $ model_arg $ json_arg $ keep_going_arg
+      $ output_cap_arg $ model_arg $ json_arg $ keep_going_arg
       $ jobs_arg $ cache_dir_arg $ baseline_out_arg $ compare_arg $ new_pos_arg
       $ wall_band_arg $ space_band_arg)
 
@@ -1764,7 +1749,7 @@ let spaceprof_cmd =
   let json_arg =
     let doc =
       "Print the census as one JSON object (rows, flamegraph stacks, and \
-       labels; the linked and log censuses too with --linked / --model) \
+       labels; the linked and log censuses too with --model) \
        instead of tables."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -1794,9 +1779,9 @@ let spaceprof_cmd =
     let doc = "Show only the $(docv) largest rows per table (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"K" ~doc)
   in
-  let spaceprof file expr corpus_name input variant engine vm_fast fuel linked
-      models json flamegraph diff top =
-    let measure = measure_of ~linked ~models in
+  let spaceprof file expr corpus_name input variant engine vm_fast fuel models
+      json flamegraph diff top =
+    let measure = SM.normalize models in
     let name, program =
       match corpus_name with
       | Some entry_name -> (
@@ -2049,8 +2034,8 @@ let spaceprof_cmd =
   Cmd.v (Cmd.info "spaceprof" ~doc)
     Term.(
       const spaceprof $ file_pos_arg $ expr_arg $ corpus_name_arg $ input_arg
-      $ variant_arg $ engine_arg $ vm_fast_arg $ fuel_arg $ linked_arg
-      $ model_arg $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
+      $ variant_arg $ engine_arg $ vm_fast_arg $ fuel_arg $ model_arg
+      $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / loadgen                                                     *)

@@ -20,8 +20,9 @@ module Env = Types.Env
    flat decomposition telescopes the Figure 7 sum (store cells by
    allocation site, continuation frames by pushing site, the register
    environment, the control value, Halt), and the linked decomposition
-   mirrors the Figure 8 walk in [Space] with attribution. Both sum to
-   their telemetry peaks exactly, by construction. *)
+   is the Figure 8 walk of [Space] itself, each charge bumping its
+   owner's row. Both sum to their telemetry peaks exactly, by
+   construction. *)
 
 type control = [ `Expr of Ast.expr | `Value of Types.value ]
 
@@ -230,23 +231,25 @@ let finish t acc ~measure ~peak =
 (* ------------------------------------------------------------------ *)
 (* Flat census: the Figure 7 sum, componentwise.                       *)
 
+(* Words a synthetic component owns outright: its row and a one-key
+   stack. *)
+let own acc key w =
+  bump acc.words key w;
+  bump acc.stacks [ key ] w
+
 (* Per-frame flat words: the cached size minus the tail's — telescopes
    exactly to [cont_space cont]. *)
 let flat_frames acc cont =
   let rec go (k : Types.cont) =
     match k with
-    | Types.Halt ->
-        bump acc.words halt_key 1;
-        bump acc.stacks [ halt_key ] 1
+    | Types.Halt -> own acc halt_key 1
     | Types.Select { next; size; site; _ }
     | Types.Assign { next; size; site; _ }
     | Types.Push { next; size; site; _ }
     | Types.Call { next; size; site; _ }
     | Types.Return { next; size; site; _ }
     | Types.Return_stack { next; size; site; _ } ->
-        let self = size - Types.cont_space next in
-        bump acc.words (site, P.P_frame) self;
-        bump acc.stacks [ (site, P.P_frame) ] self;
+        own acc (site, P.P_frame) (size - Types.cont_space next);
         go next
   in
   go cont
@@ -264,6 +267,16 @@ let extend_chain chain key =
   | _ -> key :: chain
 
 let walk_store t acc ~roots store =
+  let cell l v ~root chain =
+    let key = key_of_loc t l in
+    let w = 1 + Types.value_space v in
+    bump acc.words key w;
+    bump acc.cells key 1;
+    note_retainer acc ~of_:key ~root;
+    let chain = extend_chain chain key in
+    bump acc.stacks (List.rev chain) w;
+    chain
+  in
   let visited : (Types.loc, unit) Hashtbl.t = Hashtbl.create 256 in
   let queue = Queue.create () in
   List.iter
@@ -277,13 +290,7 @@ let walk_store t acc ~roots store =
       match Store.find_opt store l with
       | None -> ()
       | Some v ->
-          let key = key_of_loc t l in
-          let w = 1 + Types.value_space v in
-          bump acc.words key w;
-          bump acc.cells key 1;
-          note_retainer acc ~of_:key ~root;
-          let chain = extend_chain chain key in
-          bump acc.stacks (List.rev chain) w;
+          let chain = cell l v ~root chain in
           List.iter
             (fun l' -> Queue.add (l', root, chain) queue)
             (Types.value_locs v)
@@ -294,85 +301,54 @@ let walk_store t acc ~roots store =
      to the peak. *)
   Store.iter
     (fun l v ->
-      if not (Hashtbl.mem visited l) then begin
-        let key = key_of_loc t l in
-        let w = 1 + Types.value_space v in
-        bump acc.words key w;
-        bump acc.cells key 1;
-        note_retainer acc ~of_:key ~root:(-1, P.P_unreachable);
-        bump acc.stacks [ (-1, P.P_unreachable); key ] w
-      end)
+      if not (Hashtbl.mem visited l) then
+        let root = (-1, P.P_unreachable) in
+        ignore (cell l v ~root [ root ]))
     store
 
 (* The roots of a configuration, each labeled with the row that holds
    the pointer: the register environment, the control value, and every
-   continuation frame (its saved environment, held values, and any
-   I_stack deletion set). *)
+   continuation frame (what {!Types.frame_locs} finds in it). *)
 let config_roots ~control ~env ~cont =
-  let frame_roots =
-    let rec go acc (k : Types.cont) =
-      match k with
-      | Types.Halt -> acc
-      | Types.Select { env; next; site; _ }
-      | Types.Assign { env; next; site; _ }
-      | Types.Return { env; next; site; _ } ->
-          go (((site, P.P_frame), Env.locations env) :: acc) next
-      | Types.Push { evaluated; env; next; site; _ } ->
-          let locs =
-            Env.locations env
-            @ List.concat_map (fun (_, v) -> Types.value_locs v) evaluated
-          in
-          go (((site, P.P_frame), locs) :: acc) next
-      | Types.Call { vals; next; site; _ } ->
-          go (((site, P.P_frame), List.concat_map Types.value_locs vals) :: acc)
-            next
-      | Types.Return_stack { dels; env; next; site; _ } ->
-          go (((site, P.P_frame), dels @ Env.locations env) :: acc) next
-    in
-    List.rev (go [] cont)
+  let rec frames acc = function
+    | Types.Halt -> List.rev acc
+    | k ->
+        let locs, next = Types.frame_locs k in
+        frames (((Types.frame_site k, P.P_frame), locs) :: acc) next
   in
   let control_root =
     match control with
     | `Expr _ -> []
     | `Value v -> [ (control_key, Types.value_locs v) ]
   in
-  ((env_key, Env.locations env) :: control_root) @ frame_roots
+  ((env_key, Env.locations env) :: control_root) @ frames [] cont
 
 let flat_census t ~peak =
   match t.flat_stash with
   | Nothing -> None
   | At_final { v; store } ->
       let acc = make_acc () in
-      bump acc.words control_key (Types.value_space v);
-      bump acc.stacks [ control_key ] (Types.value_space v);
+      own acc control_key (Types.value_space v);
       walk_store t acc ~roots:[ (control_key, Types.value_locs v) ] store;
       Some (finish t acc ~measure:P.Flat ~peak)
   | At_config { control; env; cont; store } ->
       let acc = make_acc () in
       let rho = Env.cardinal env in
-      if rho > 0 then begin
-        bump acc.words env_key rho;
-        bump acc.stacks [ env_key ] rho
-      end;
+      if rho > 0 then own acc env_key rho;
       (match control with
       | `Expr _ -> ()
-      | `Value v ->
-          bump acc.words control_key (Types.value_space v);
-          bump acc.stacks [ control_key ] (Types.value_space v));
+      | `Value v -> own acc control_key (Types.value_space v));
       flat_frames acc cont;
       walk_store t acc ~roots:(config_roots ~control ~env ~cont) store;
       Some (finish t acc ~measure:P.Flat ~peak)
 
 (* ------------------------------------------------------------------ *)
-(* Linked census: the Figure 8 walk of [Space], with attribution. The
-   global binding set is deduplicated exactly as there; each distinct
-   (identifier, location) binding charges its one word to the site of
-   the cell it names, which is traversal-order independent.
-
-   The log census is the same decomposition with every charge scaled by
-   the stashed store's pointer size — an integer factor, so the rows
-   still sum exactly to [scale * linked units], which is precisely the
-   log peak at the stashed configuration.                              *)
+(* Linked census: [Space.linked_charges] with each charge bumping its
+   owner's row, so it sums to the linked peak by construction. The log
+   census is the same walk with every charge scaled by the stashed
+   store's pointer size — an integer factor, so the rows still sum
+   exactly to [scale * linked units], which is precisely the log peak
+   at the stashed configuration.                                       *)
 
 let linked_like_census t stash ~measure ~scale_of_store ~peak =
   match (stash : stash) with
@@ -380,78 +356,17 @@ let linked_like_census t stash ~measure ~scale_of_store ~peak =
   | At_config { control; env; cont; store } ->
       let b = scale_of_store store in
       let acc = make_acc () in
+      let key_of (owner : Space.owner) id =
+        match owner with
+        | Cell -> key_of_loc t id
+        | Frame -> (id, P.P_frame)
+        | Halt -> halt_key
+        | Control -> control_key
+      in
+      Space.linked_charges ~control ~env ~cont ~store (fun owner id w ->
+          bump acc.words (key_of owner id) (b * w));
       (* cell counts are populations, not charges: never scaled *)
-      let cell_bump key = bump acc.cells key 1 in
-      let bump tbl key dw = bump tbl key (b * dw) in
-      let bindings : (string * Types.loc, unit) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let add_env env =
-        Env.iter (fun x l -> Hashtbl.replace bindings (x, l) ()) env
-      in
-      let add_value key (v : Types.value) =
-        match v with
-        | Types.Closure (_, _, cenv) ->
-            add_env cenv;
-            bump acc.words key 1
-        | Types.Escape (_, k) ->
-            bump acc.words key 1;
-            let rec frames (k : Types.cont) =
-              match k with
-              | Types.Halt -> bump acc.words halt_key 1
-              | Types.Select { env; next; site; _ }
-              | Types.Assign { env; next; site; _ }
-              | Types.Return { env; next; site; _ }
-              | Types.Return_stack { env; next; site; _ } ->
-                  add_env env;
-                  bump acc.words (site, P.P_frame) 1;
-                  frames next
-              | Types.Push { remaining; evaluated; env; next; site; _ } ->
-                  add_env env;
-                  bump acc.words (site, P.P_frame)
-                    (1 + List.length remaining + List.length evaluated);
-                  frames next
-              | Types.Call { vals; next; site; _ } ->
-                  bump acc.words (site, P.P_frame) (1 + List.length vals);
-                  frames next
-            in
-            frames k
-        | v -> bump acc.words key (Types.value_space v)
-      in
-      add_env env;
-      (match control with
-      | `Expr _ -> ()
-      | `Value v -> add_value control_key v);
-      (let rec frames (k : Types.cont) =
-         match k with
-         | Types.Halt -> bump acc.words halt_key 1
-         | Types.Select { env; next; site; _ }
-         | Types.Assign { env; next; site; _ }
-         | Types.Return { env; next; site; _ }
-         | Types.Return_stack { env; next; site; _ } ->
-             add_env env;
-             bump acc.words (site, P.P_frame) 1;
-             frames next
-         | Types.Push { remaining; evaluated; env; next; site; _ } ->
-             add_env env;
-             bump acc.words (site, P.P_frame)
-               (1 + List.length remaining + List.length evaluated);
-             frames next
-         | Types.Call { vals; next; site; _ } ->
-             bump acc.words (site, P.P_frame) (1 + List.length vals);
-             frames next
-       in
-       frames cont);
-      Store.iter
-        (fun l v ->
-          let key = key_of_loc t l in
-          bump acc.words key 1;
-          cell_bump key;
-          add_value key v)
-        store;
-      Hashtbl.iter
-        (fun (_, l) () -> bump acc.words (key_of_loc t l) 1)
-        bindings;
+      Store.iter (fun l _ -> bump acc.cells (key_of_loc t l) 1) store;
       Some (finish t acc ~measure ~peak)
 
 let linked_census t ~peak =

@@ -21,10 +21,11 @@
     (store cells by allocation site, frames by pushing site, register
     environment, control, Halt) and additionally builds retained-by
     edges and collapsed flamegraph stacks from a first-retainer-wins
-    BFS; the linked census mirrors {!Space.linked_config_space} with
-    each deduplicated (identifier, location) binding charged to the
-    site of the cell it names; the log census is the linked
-    decomposition with every charge scaled by the stashed store's
+    BFS from roots found by the {!Types.refs} visitor; the linked
+    census is {!Space.linked_charges} itself, each charge bumping the
+    row of its owner (a deduplicated (identifier, location) binding is
+    charged to the site of the cell it names); the log census is the
+    same walk with every charge scaled by the stashed store's
     {!Space.pointer_bits} (bit-units).
 
     Site ids come from the annotation pass ({!Annot.site_id}), so they

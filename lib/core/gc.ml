@@ -1,85 +1,45 @@
 module Env = Types.Env
 
-(* Visitor-based tracing. Environments are traced as overlay-plus-base,
-   with each distinct base (physically) traced once per collection: every
-   run-time environment shares the single global base, so the hundred-odd
-   global bindings cost O(1) per frame instead of O(globals). A shadowed
-   base binding is still traced, which can pin a dead global cell — a
-   few words of documented overcount, never affecting fresh locations. *)
-type tracer = {
-  seen : (Types.loc, unit) Hashtbl.t;
-  mutable bases : Env.t list;
-  store : Store.t;
-}
-
-let make_tracer store = { seen = Hashtbl.create 64; bases = []; store }
-
-let rec visit tr l =
-  if not (Hashtbl.mem tr.seen l) then begin
-    Hashtbl.add tr.seen l ();
-    match Store.find_opt tr.store l with
-    | None -> ()
-    | Some v -> trace_value tr v
-  end
-
-and trace_value tr (v : Types.value) =
-  match v with
-  | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
-  | Primop _ ->
-      ()
-  | Pair (a, d) ->
-      visit tr a;
-      visit tr d
-  | Vector locs -> Array.iter (visit tr) locs
-  | Closure (tag, _, env) ->
-      visit tr tag;
-      trace_env tr env
-  | Escape (tag, k) ->
-      visit tr tag;
-      trace_cont tr k
-
-and trace_env tr env =
-  Env.iter_overlay (fun _ l -> visit tr l) env;
-  if Env.has_base env && not (List.exists (Env.base_eq env) tr.bases) then begin
-    tr.bases <- env :: tr.bases;
-    Env.iter_base (fun _ l -> visit tr l) env
-  end
-
-and trace_cont tr (k : Types.cont) =
-  match k with
-  | Halt -> ()
-  | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ }
-    ->
-      trace_env tr env;
-      trace_cont tr next
-  | Push { evaluated; env; next; _ } ->
-      trace_env tr env;
-      List.iter (fun (_, v) -> trace_value tr v) evaluated;
-      trace_cont tr next
-  | Call { vals; next; _ } ->
-      List.iter (trace_value tr) vals;
-      trace_cont tr next
-  | Return_stack { dels; env; next; _ } ->
-      (* The deletion set counts as an occurrence (§8): stack-allocated
-         locations live until their frame returns, even when garbage. *)
-      List.iter (visit tr) dels;
-      trace_env tr env;
-      trace_cont tr next
-
-let reachable ~roots store =
-  let tr = make_tracer store in
-  List.iter (visit tr) roots;
-  tr.seen
-
-let live_set ~control_locs ~env ~cont store =
-  let tr = make_tracer store in
-  List.iter (visit tr) control_locs;
-  trace_env tr env;
-  trace_cont tr cont;
-  tr.seen
+(* Tracing over the reference visitor. Environments are traced as
+   overlay-plus-base, with each distinct base (physically) traced once
+   per collection: every run-time environment shares the single global
+   base, so the hundred-odd global bindings cost O(1) per frame instead
+   of O(globals). A shadowed base binding is still traced, which can pin
+   a dead global cell — a few words of documented overcount, never
+   affecting fresh locations. The visitor's closures are built once per
+   trace, and nothing is allocated per frame. *)
+let rec base_seen env = function
+  | [] -> false
+  | b :: bs -> Env.base_eq env b || base_seen env bs
 
 let collect ~control_locs ~env ~cont store =
-  let live = live_set ~control_locs ~env ~cont store in
+  let live : (Types.loc, unit) Hashtbl.t = Hashtbl.create 64 in
+  let bases = ref [] in
+  let rec visit l =
+    if not (Hashtbl.mem live l) then begin
+      Hashtbl.add live l ();
+      match Store.find_opt store l with
+      | None -> ()
+      | Some v -> Types.value_refs refs v
+    end
+  and binding _ l = visit l
+  and refs =
+    {
+      Types.loc = visit;
+      env =
+        (fun env ->
+          Env.iter_overlay binding env;
+          if Env.has_base env && not (base_seen env !bases) then begin
+            bases := env :: !bases;
+            Env.iter_base binding env
+          end);
+      held = (fun v -> Types.value_refs refs v);
+      captured = (fun k -> Types.cont_refs refs k);
+    }
+  in
+  List.iter visit control_locs;
+  refs.env env;
+  Types.cont_refs refs cont;
   let dead =
     Store.fold
       (fun l _ acc -> if Hashtbl.mem live l then acc else l :: acc)
@@ -93,44 +53,17 @@ let collect ~control_locs ~env ~cont store =
 let occurs_in_retained ~candidates ~control_locs ~env ~cont ~retained =
   let hit : (Types.loc, unit) Hashtbl.t = Hashtbl.create 8 in
   let check l = if Hashtbl.mem candidates l then Hashtbl.replace hit l () in
-  let check_env env = Env.iter_overlay (fun _ l -> check l) env in
-  let rec check_value (v : Types.value) =
-    match v with
-    | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
-    | Primop _ ->
-        ()
-    | Pair (a, d) ->
-        check a;
-        check d
-    | Vector locs -> Array.iter check locs
-    | Closure (tag, _, env) ->
-        check tag;
-        check_env env
-    | Escape (tag, k) ->
-        check tag;
-        check_cont k
-  and check_cont (k : Types.cont) =
-    match k with
-    | Halt -> ()
-    | Select { env; next; _ }
-    | Assign { env; next; _ }
-    | Return { env; next; _ } ->
-        check_env env;
-        check_cont next
-    | Push { evaluated; env; next; _ } ->
-        check_env env;
-        List.iter (fun (_, v) -> check_value v) evaluated;
-        check_cont next
-    | Call { vals; next; _ } ->
-        List.iter check_value vals;
-        check_cont next
-    | Return_stack { dels; env; next; _ } ->
-        List.iter check dels;
-        check_env env;
-        check_cont next
+  let binding _ l = check l in
+  let rec refs =
+    {
+      Types.loc = check;
+      env = (fun env -> Env.iter_overlay binding env);
+      held = (fun v -> Types.value_refs refs v);
+      captured = (fun k -> Types.cont_refs refs k);
+    }
   in
   List.iter check control_locs;
-  check_env env;
-  check_cont cont;
-  Store.iter (fun _ v -> check_value v) retained;
+  refs.env env;
+  Types.cont_refs refs cont;
+  Store.iter (fun _ v -> Types.value_refs refs v) retained;
   hit

@@ -7,15 +7,11 @@
     The machine achieves the same measured peaks lazily; see
     {!Machine}.
 
-    Tracing is visitor-based, and each distinct environment base (see
-    {!Env}) is traced once per collection, so a collection costs
+    Both walks below are written over {!Types.refs}, the one statement
+    of what each value and frame holds. Each distinct environment base
+    (see {!Env}) is traced once per collection, so a collection costs
     O(live + frames + overlay bindings), independent of how many
     environments share the global bindings. *)
-
-val reachable :
-  roots:Types.loc list -> Store.t -> (Types.loc, unit) Hashtbl.t
-(** Transitive closure of the points-to relation through the store,
-    starting from explicit root locations. *)
 
 val collect :
   control_locs:Types.loc list ->

@@ -839,15 +839,6 @@ let describe_config ?annot config =
     let s = Ast.to_string e in
     if String.length s > 48 then String.sub s 0 45 ^ "..." else s
   in
-  let top_site = function
-    | Halt -> -1
-    | Select { site; _ }
-    | Assign { site; _ }
-    | Push { site; _ }
-    | Call { site; _ }
-    | Return { site; _ }
-    | Return_stack { site; _ } -> site
-  in
   let control =
     match config.control with
     | `Expr e -> (
@@ -860,7 +851,7 @@ let describe_config ?annot config =
         match annot with
         | None -> base
         | Some a -> (
-            let site = top_site config.cont in
+            let site = frame_site config.cont in
             if site < 0 then base
             else
               match Annot.site_expr a site with
@@ -971,16 +962,18 @@ let exec ?(opts = Run_opts.default) t expr =
      census. Every call site is post-collection, so a stashed store is
      fully reachable from the stashed roots — the retainer walk in
      [Census] relies on this. *)
-  let note_flat config =
-    let s = flat_space config in
+  let raise_peak peak s stash =
     if s > !peak then begin
       peak := s;
-      match provenance with
-      | Some c ->
-          Census.stash_flat c ~control:config.control ~env:config.env
-            ~cont:config.cont ~store:config.store
-      | None -> ()
+      Option.iter stash provenance
     end
+  in
+  let stash_config stash config c =
+    stash c ~control:config.control ~env:config.env ~cont:config.cont
+      ~store:config.store
+  in
+  let note_flat config =
+    raise_peak peak (flat_space config) (stash_config Census.stash_flat config)
   in
   (* Both heavy models share one dedup walk per observation: the log
      charge is the linked unit count scaled by the pointer size, but the
@@ -991,25 +984,12 @@ let exec ?(opts = Run_opts.default) t expr =
       Space.linked_config_space ~control:config.control ~env:config.env
         ~cont:config.cont ~store:config.store
     in
-    if measure_linked && u > !peak_linked then begin
-      peak_linked := u;
-      match provenance with
-      | Some c ->
-          Census.stash_linked c ~control:config.control ~env:config.env
-            ~cont:config.cont ~store:config.store
-      | None -> ()
-    end;
-    if measure_log then begin
-      let s = Space.pointer_bits config.store * u in
-      if s > !peak_log then begin
-        peak_log := s;
-        match provenance with
-        | Some c ->
-            Census.stash_log c ~control:config.control ~env:config.env
-              ~cont:config.cont ~store:config.store
-        | None -> ()
-      end
-    end
+    if measure_linked then
+      raise_peak peak_linked u (stash_config Census.stash_linked config);
+    if measure_log then
+      raise_peak peak_log
+        (Space.pointer_bits config.store * u)
+        (stash_config Census.stash_log config)
   in
   let measure config =
     if measure_heavy then begin
@@ -1123,38 +1103,13 @@ let exec ?(opts = Run_opts.default) t expr =
           record_gc Telemetry.Gc_final store reclaimed;
           (* Definition 21's final measurement has no environment and no
              Halt word in the flat model — a distinct stash shape. *)
-          let s = value_space v + Store.space store in
-          if s > !peak then begin
-            peak := s;
-            match provenance with
-            | Some c -> Census.stash_flat_final c ~v ~store
-            | None -> ()
-          end;
-          if measure_heavy then begin
-            let u =
-              Space.linked_config_space ~control:(`Value v) ~env:Env.empty
-                ~cont:Halt ~store
-            in
-            (if measure_linked && u > !peak_linked then begin
-               peak_linked := u;
-               match provenance with
-               | Some c ->
-                   Census.stash_linked c ~control:(`Value v) ~env:Env.empty
-                     ~cont:Halt ~store
-               | None -> ()
-             end);
-            if measure_log then begin
-              let sl = Space.pointer_bits store * u in
-              if sl > !peak_log then begin
-                peak_log := sl;
-                match provenance with
-                | Some c ->
-                    Census.stash_log c ~control:(`Value v) ~env:Env.empty
-                      ~cont:Halt ~store
-                | None -> ()
-              end
-            end
-          end;
+          raise_peak peak
+            (value_space v + Store.space store)
+            (fun c -> Census.stash_flat_final c ~v ~store);
+          (* The heavy models measure it as the configuration
+             (v, empty, Halt, sigma), like any other step. *)
+          if measure_heavy then
+            note_heavy { control = `Value v; env = Env.empty; cont = Halt; store };
           (Done { value = v; store; answer = Answer.to_string store v }, steps + 1)
       | Stuck_state m -> (Stuck m, steps)
   in

@@ -1,72 +1,69 @@
 module Env = Types.Env
 
-type acc = {
-  bindings : (string * Types.loc, unit) Hashtbl.t;
-      (* the global binding set: each (identifier, location) pair counts
-         once per configuration *)
-  mutable words : int; (* all non-binding space *)
-}
+type owner = Cell | Frame | Halt | Control
 
-let add_env acc env =
-  Env.iter (fun x l -> Hashtbl.replace acc.bindings (x, l) ()) env
-
-(* A value in the accumulator or in a store cell. Closures cost one word
-   plus shared bindings; escapes cost one word plus their continuation
-   (walked with per-frame overheads and shared bindings). Values held in
-   push/call frames are *not* passed here: Figures 7 and 8 charge them
-   exactly one word via the frame's [n] term, and counting more would
-   break the pointwise bound U_X <= S_X of §13. *)
-let rec add_value acc (v : Types.value) =
-  match v with
-  | Closure (_, _, env) ->
-      add_env acc env;
-      acc.words <- acc.words + 1
-  | Escape (_, k) ->
-      acc.words <- acc.words + 1;
-      add_cont acc k
-  | v -> acc.words <- acc.words + Types.value_space v
-
-(* Frame overheads per Figure 8: each frame costs one word plus, for push
-   and call frames, one word per held expression or value; saved
-   environments contribute bindings only. *)
-and add_cont acc (k : Types.cont) =
-  match k with
-  | Halt -> acc.words <- acc.words + 1
-  | Select { env; next; _ } | Assign { env; next; _ } ->
-      add_env acc env;
-      acc.words <- acc.words + 1;
-      add_cont acc next
-  | Push { remaining; evaluated; env; next; _ } ->
-      add_env acc env;
-      acc.words <-
-        acc.words + 1 + List.length remaining + List.length evaluated;
-      add_cont acc next
-  | Call { vals; next; _ } ->
-      acc.words <- acc.words + 1 + List.length vals;
-      add_cont acc next
-  | Return { env; next; _ } | Return_stack { env; next; _ } ->
-      add_env acc env;
-      acc.words <- acc.words + 1;
-      add_cont acc next
+(* The Figure 8 walk, each word charged to its owner. Closures cost one
+   word plus shared bindings; escapes cost one word plus their
+   continuation (walked with per-frame overheads and shared bindings).
+   Values held in push/call frames are *not* walked: Figures 7 and 8
+   charge them exactly one word via the frame's [n] term, and counting
+   more would break the pointwise bound U_X <= S_X of §13. Each
+   (identifier, location) binding counts once per configuration and is
+   charged, when first seen, to the cell it names, which makes the
+   attribution independent of traversal order. Owners are constant
+   constructors with the cell or site passed beside them, so the
+   per-step walk allocates nothing per charge. *)
+let linked_charges ~control ~env ~cont ~store charge =
+  let bindings : (string * Types.loc, unit) Hashtbl.t = Hashtbl.create 64 in
+  let bind x l =
+    let n = Hashtbl.length bindings in
+    Hashtbl.replace bindings (x, l) ();
+    if Hashtbl.length bindings > n then charge Cell l 1
+  in
+  let rec value owner id (v : Types.value) =
+    match v with
+    | Closure (_, _, env) ->
+        Env.iter bind env;
+        charge owner id 1
+    | Escape (_, k) ->
+        charge owner id 1;
+        frames k
+    | v -> charge owner id (Types.value_space v)
+  (* Frame overheads: one word per frame plus, for push and call frames,
+     one per held expression or value; saved environments contribute
+     bindings only. *)
+  and frames (k : Types.cont) =
+    match k with
+    | Halt -> charge Halt (-1) 1
+    | Select { env; next; site; _ }
+    | Assign { env; next; site; _ }
+    | Return { env; next; site; _ }
+    | Return_stack { env; next; site; _ } ->
+        Env.iter bind env;
+        charge Frame site 1;
+        frames next
+    | Push { remaining; evaluated; env; next; site; _ } ->
+        Env.iter bind env;
+        charge Frame site (1 + List.length remaining + List.length evaluated);
+        frames next
+    | Call { vals; next; site; _ } ->
+        charge Frame site (1 + List.length vals);
+        frames next
+  in
+  Env.iter bind env;
+  (match control with `Expr _ -> () | `Value v -> value Control (-1) v);
+  frames cont;
+  Store.iter
+    (fun l v ->
+      charge Cell l 1;
+      value Cell l v)
+    store
 
 let linked_config_space ~control ~env ~cont ~store =
-  let acc = { bindings = Hashtbl.create 64; words = 0 } in
-  add_env acc env;
-  (match control with `Expr _ -> () | `Value v -> add_value acc v);
-  add_cont acc cont;
-  Store.iter
-    (fun _ v ->
-      acc.words <- acc.words + 1;
-      add_value acc v)
-    store;
-  acc.words + Hashtbl.length acc.bindings
+  let words = ref 0 in
+  linked_charges ~control ~env ~cont ~store (fun _ _ w -> words := !words + w);
+  !words
 
-(* ceil(log2 n) for n >= 1; 0 for n <= 1. *)
-let ceil_log2 n =
-  let rec go b p = if p >= n then b else go (b + 1) (p * 2) in
-  if n <= 1 then 0 else go 0 1
-
-let pointer_bits store = max 1 (ceil_log2 (Store.cardinal store))
-
-let log_config_space ~control ~env ~cont ~store =
-  pointer_bits store * linked_config_space ~control ~env ~cont ~store
+let pointer_bits store =
+  let rec ceil_log2 b p n = if p >= n then b else ceil_log2 (b + 1) (p * 2) n in
+  max 1 (ceil_log2 0 1 (Store.cardinal store))

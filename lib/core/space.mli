@@ -11,7 +11,32 @@
 
     This yields the [U_X] space consumption functions; Theorem 26 shows
     [O(U_tail)] and [O(U_evlis)] are incomparable with [O(S_free)] and
-    [O(S_sfs)], which experiment E4 reproduces. *)
+    [O(S_sfs)], which experiment E4 reproduces.
+
+    The model is written once, as {!linked_charges}: the measured peak
+    ({!linked_config_space}), the log model (that figure times
+    {!pointer_bits}) and the linked and log censuses ({!Census}) are
+    all that walk, summed or attributed. *)
+
+type owner =
+  | Cell
+      (** a store cell: its own word, its value's charges, and one word
+          for each distinct binding that names it *)
+  | Frame  (** a continuation frame *)
+  | Halt  (** a [Halt] word, of the configuration's or an escape's continuation *)
+  | Control  (** the control value *)
+
+val linked_charges :
+  control:[ `Expr of Tailspace_ast.Ast.expr | `Value of Types.value ] ->
+  env:Types.Env.t ->
+  cont:Types.cont ->
+  store:Store.t ->
+  (owner -> int -> int -> unit) ->
+  unit
+(** [linked_charges c charge] walks the configuration per Figure 8 and
+    calls [charge owner id words] for every charge, where [id] is the
+    cell's location for [Cell], the frame's provenance site for [Frame]
+    and [-1] otherwise; the charges sum to {!linked_config_space}. *)
 
 val linked_config_space :
   control:[ `Expr of Tailspace_ast.Ast.expr | `Value of Types.value ] ->
@@ -19,27 +44,14 @@ val linked_config_space :
   cont:Types.cont ->
   store:Store.t ->
   int
-(** The linked space of a configuration. The store should be fully
-    garbage collected first, since Definition 21 measures space-efficient
-    computations only. *)
-
-val ceil_log2 : int -> int
-(** [ceil_log2 n] is the least [b] with [2^b >= n] ([0] for [n <= 1]). *)
+(** The linked space of a configuration: {!linked_charges} summed. The
+    store should be fully garbage collected first, since Definition 21
+    measures space-efficient computations only. *)
 
 val pointer_bits : Store.t -> int
 (** The pointer size for the logarithmic model: a pointer into a store of
-    [k] live cells needs [ceil(log2 k)] bits, clamped to at least 1. The
-    store should be fully garbage collected first, like
-    {!linked_config_space}. *)
-
-val log_config_space :
-  control:[ `Expr of Tailspace_ast.Ast.expr | `Value of Types.value ] ->
-  env:Types.Env.t ->
-  cont:Types.cont ->
-  store:Store.t ->
-  int
-(** The logarithmic (pointer-size) space of a configuration, in
-    bit-units: every linked-model word is charged {!pointer_bits} bits
-    instead of one word, so
-    [log_config_space c = pointer_bits store * linked_config_space c].
-    This is the [Space_model.Log] measure. *)
+    [k] live cells needs [ceil(log2 k)] bits, clamped to at least 1.
+    Every linked-model word costs that many bits, so the log space of a
+    configuration ([Space_model.Log]) is
+    [pointer_bits store * linked_config_space c]. The store should be
+    fully garbage collected first, like {!linked_config_space}. *)

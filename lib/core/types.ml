@@ -183,36 +183,93 @@ let value_space = function
   | Closure (_, _, env) -> 1 + Env.cardinal env
   | Escape (_, k) -> 1 + cont_space k
 
-let rec value_locs = function
+(* The reference visitor: the one place that says what each value and
+   frame holds. Every pointer walk (collection, the I_stack occurs check,
+   [value_locs], the census roots) is written over it. *)
+type refs = {
+  loc : loc -> unit;
+  env : Env.t -> unit;
+  held : value -> unit;
+  captured : cont -> unit;
+}
+
+let value_refs r = function
   | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
   | Primop _ ->
-      []
-  | Pair (a, d) -> [ a; d ]
-  | Vector locs -> Array.to_list locs
-  | Closure (tag, _, env) -> tag :: Env.locations env
-  | Escape (tag, k) -> tag :: cont_locs_acc [] k
+      ()
+  | Pair (a, d) ->
+      r.loc a;
+      r.loc d
+  | Vector locs -> Array.iter r.loc locs
+  | Closure (tag, _, env) ->
+      r.loc tag;
+      r.env env
+  | Escape (tag, k) ->
+      r.loc tag;
+      r.captured k
 
-and cont_locs_acc acc k =
-  match k with
-  | Halt -> acc
+(* A top-level recursion, not a [List.iter] closure over [r], so a walk
+   allocates nothing per frame. *)
+let rec evaluated_refs r = function
+  | [] -> ()
+  | (_, v) :: rest ->
+      r.held v;
+      evaluated_refs r rest
+
+let frame_refs r = function
+  | Halt -> Halt
   | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ }
     ->
-      cont_locs_acc (List.rev_append (Env.locations env) acc) next
+      r.env env;
+      next
   | Push { evaluated; env; next; _ } ->
-      let acc = List.rev_append (Env.locations env) acc in
-      let acc =
-        List.fold_left
-          (fun acc (_, v) -> List.rev_append (value_locs v) acc)
-          acc evaluated
-      in
-      cont_locs_acc acc next
+      r.env env;
+      evaluated_refs r evaluated;
+      next
   | Call { vals; next; _ } ->
-      let acc =
-        List.fold_left (fun acc v -> List.rev_append (value_locs v) acc) acc vals
-      in
-      cont_locs_acc acc next
+      List.iter r.held vals;
+      next
   | Return_stack { dels; env; next; _ } ->
-      let acc = List.rev_append dels acc in
-      cont_locs_acc (List.rev_append (Env.locations env) acc) next
+      (* the deletion set counts as an occurrence (§8): stack-allocated
+         locations live until their frame returns, even when garbage *)
+      List.iter r.loc dels;
+      r.env env;
+      next
 
-let cont_locs k = cont_locs_acc [] k
+let rec cont_refs r = function Halt -> () | k -> cont_refs r (frame_refs r k)
+
+let frame_site = function
+  | Halt -> -1
+  | Select { site; _ }
+  | Assign { site; _ }
+  | Push { site; _ }
+  | Call { site; _ }
+  | Return { site; _ }
+  | Return_stack { site; _ } ->
+      site
+
+(* Locations are pushed onto [out] in reverse. A held value contributes
+   its [value_locs] as one block and a captured continuation its
+   locations last-first, the order the census retainer walk has always
+   visited them in. *)
+let rec locs_into out =
+  {
+    loc = (fun l -> out := l :: !out);
+    env = (fun e -> out := List.rev_append (Env.locations e) !out);
+    held = (fun v -> out := List.rev_append (value_locs v) !out);
+    captured =
+      (fun k ->
+        let inner = ref [] in
+        cont_refs (locs_into inner) k;
+        out := List.rev_append !inner !out);
+  }
+
+and value_locs v =
+  let out = ref [] in
+  value_refs (locs_into out) v;
+  List.rev !out
+
+let frame_locs k =
+  let out = ref [] in
+  let next = frame_refs (locs_into out) k in
+  (List.rev !out, next)

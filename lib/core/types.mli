@@ -135,13 +135,41 @@ val value_space : value -> int
     [1 + n] for vectors, [1 + |Dom rho|] for closures, [3] for pairs,
     [1 + length] for strings, [1 + space(kappa)] for escapes. *)
 
-(** {1 Structure} *)
+(** {1 References}
+
+    The one statement of what each value and continuation frame holds.
+    Every pointer walk of the machine is written over it: the collector's
+    trace and the [I_stack] occurs check ({!Gc}), {!value_locs} and
+    {!frame_locs}, and the census roots ({!Census}). *)
+
+type refs = {
+  loc : loc -> unit;
+      (** a location held directly: a pair's or a vector's cells, a
+          closure's or an escape's tag, each location of a
+          [Return_stack] deletion set *)
+  env : Env.t -> unit;  (** a closure's or a frame's saved environment *)
+  held : value -> unit;  (** a value a [Push] or [Call] frame holds *)
+  captured : cont -> unit;  (** the continuation an escape captured *)
+}
+(** Callbacks for one walk. Build the record once per walk:
+    {!value_refs} and {!cont_refs} allocate nothing of their own. *)
+
+val value_refs : refs -> value -> unit
+(** Report what a value holds (nothing for atoms). *)
+
+val cont_refs : refs -> cont -> unit
+(** Report what every frame holds, top first: a frame's environment,
+    then its held values in order; a [Return_stack] frame reports its
+    deletion set first. *)
+
+val frame_site : cont -> int
+(** The provenance site of the top frame ([-1] for [Halt]). *)
 
 val value_locs : value -> loc list
-(** Locations occurring directly in a value (one level; not through the
-    store). *)
+(** Locations occurring directly in a value, not through the store;
+    an escape's include every location its continuation holds. *)
 
-val cont_locs : cont -> loc list
-(** Locations occurring directly in a continuation: the codomains of its
-    saved environments, locations of its held values, recursively through
-    [next], plus any [Return_stack] deletion sets. *)
+val frame_locs : cont -> loc list * cont
+(** Locations the top frame holds, in {!cont_refs} order with held
+    values contributing their {!value_locs}, and the frame beneath it
+    ([Halt] holds none and is its own). *)

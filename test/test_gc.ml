@@ -135,6 +135,73 @@ let test_occurs_via_env_and_value () =
   in
   check_int "found via control value" 1 (Hashtbl.length hits2)
 
+(* Every way a configuration can hold a location, one row each: the
+   row builds a configuration that holds [l] in that way only. The
+   holder frame sits under an innocent one, so the walk must follow
+   [next]; holder values live in a cell the control value names. *)
+let holders =
+  let env_of l = Env.add "x" l Env.empty in
+  let frame k s = (s, [], Env.empty, T.call ~vals:[ T.Nil ] ~next:k ()) in
+  let in_cell v s =
+    let s, home = Store.alloc s v in
+    (s, [ home ], Env.empty, T.Halt)
+  in
+  let with_tag mk s =
+    let s, tag = Store.alloc s T.Unspecified in
+    in_cell (mk tag) s
+  in
+  [
+    ( "select env",
+      fun l ->
+        frame (T.select ~e1:unit_body ~e2:unit_body ~env:(env_of l) ~next:T.Halt ())
+    );
+    ("assign env", fun l -> frame (T.assign ~id:"x" ~env:(env_of l) ~next:T.Halt ()));
+    ( "push env",
+      fun l ->
+        frame
+          (T.push ~pending:0 ~remaining:[ (1, unit_body) ] ~evaluated:[]
+             ~env:(env_of l) ~next:T.Halt ()) );
+    ( "push evaluated value",
+      fun l ->
+        frame
+          (T.push ~pending:1 ~remaining:[] ~evaluated:[ (0, T.Pair (l, l)) ]
+             ~env:Env.empty ~next:T.Halt ()) );
+    ("call value", fun l -> frame (T.call ~vals:[ T.Vector [| l |] ] ~next:T.Halt ()));
+    ("return env", fun l -> frame (T.return_gc ~env:(env_of l) ~next:T.Halt ()));
+    ( "return_stack dels",
+      fun l -> frame (T.return_stack ~dels:[ l ] ~env:Env.empty ~next:T.Halt ()) );
+    ( "return_stack env",
+      fun l -> frame (T.return_stack ~dels:[] ~env:(env_of l) ~next:T.Halt ()) );
+    ( "escape in a cell",
+      fun l ->
+        with_tag (fun tag ->
+            T.Escape (tag, T.return_gc ~env:(env_of l) ~next:T.Halt ())) );
+    ( "closure env",
+      fun l -> with_tag (fun tag -> T.Closure (tag, lam unit_body, env_of l)) );
+    ("pair", fun l -> in_cell (T.Pair (l, l)));
+    ("vector", fun l -> in_cell (T.Vector [| l |]));
+  ]
+
+let test_every_holder () =
+  List.iter
+    (fun (name, hold) ->
+      let s = Store.empty in
+      let s, garbage = Store.alloc s (T.Sym "garbage") in
+      let s, target = Store.alloc s (T.Sym "target") in
+      let s, control_locs, env, cont = hold target s in
+      let s', n = Gc.collect ~control_locs ~env ~cont s in
+      Alcotest.(check bool) (name ^ ": collect keeps") true (Store.mem s' target);
+      Alcotest.(check bool)
+        (name ^ ": collect drops garbage")
+        false (Store.mem s' garbage);
+      check_int (name ^ ": one reclaimed") 1 n;
+      let hits =
+        Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs
+          ~env ~cont ~retained:(Store.remove_all s [ target ])
+      in
+      check_int (name ^ ": occurs check finds") 1 (Hashtbl.length hits))
+    holders
+
 let test_gc_does_not_change_answers () =
   (* linked measurement forces a collection at every step; answers and
      flat peaks must match the lazy schedule *)
@@ -184,6 +251,7 @@ let () =
           Alcotest.test_case "escape" `Quick test_collect_through_escape;
           Alcotest.test_case "return_stack pins" `Quick test_return_stack_pins_deletions;
           Alcotest.test_case "rebased roots" `Quick test_rebased_env_roots;
+          Alcotest.test_case "every holder" `Quick test_every_holder;
         ] );
       ( "occurs-check",
         [

@@ -134,6 +134,94 @@ let test_linked_counts_shared_bindings_once () =
      4 cells + tags 2*1 + closures 2*(1+3) = 4 + 2 + 8 = 14 *)
   check_int "flat copies" 14 (Store.space store)
 
+(* One configuration with every frame kind, an escape in the store and
+   a binding, (x, a), shared by a closure and two frames. Cells are
+   allocated at sites 10..15 and frames pushed at sites 1..7, so each
+   census row is one owner of the Figure 8 walk. *)
+let test_figure8_walk_by_owner () =
+  let module C = Tailspace_core.Census in
+  let module P = Tailspace_provenance.Provenance in
+  let c = C.create () in
+  let store = ref (C.instrument c Store.empty) in
+  let alloc site v =
+    C.set_alloc_site c ~site ~phase:None;
+    let s, l = Store.alloc !store v in
+    store := s;
+    l
+  in
+  let e = A.Var "x" in
+  let lam = { A.params = []; rest = None; body = e } in
+  let env1 x l = Env.add x l Env.empty in
+  let a = alloc 10 (T.Sym "a") in
+  let b = alloc 11 (T.Sym "b") in
+  let tag1 = alloc 12 T.Unspecified in
+  let clo =
+    alloc 13 (T.Closure (tag1, lam, Env.add_list [ ("x", a); ("y", b) ] Env.empty))
+  in
+  let tag2 = alloc 14 T.Unspecified in
+  let _esc =
+    alloc 15 (T.Escape (tag2, T.return_gc ~site:7 ~env:(env1 "z" b) ~next:T.Halt ()))
+  in
+  let store = !store in
+  let cont =
+    T.select ~site:1 ~e1:e ~e2:e ~env:(env1 "x" a)
+      ~next:
+        (T.assign ~site:2 ~id:"y" ~env:(env1 "y" b)
+           ~next:
+             (T.push ~site:3 ~pending:1 ~remaining:[ (2, e) ]
+                ~evaluated:[ (0, T.Nil) ] ~env:(env1 "w" a)
+                ~next:
+                  (T.call ~site:4 ~vals:[ T.Nil; T.Nil ]
+                     ~next:
+                       (T.return_gc ~site:5 ~env:(env1 "x" a)
+                          ~next:
+                            (T.return_stack ~site:6 ~dels:[ b ] ~env:Env.empty
+                               ~next:T.Halt ()) ()) ()) ()) ()) ()
+  in
+  let control = `Value (T.Pair (a, b)) and env = env1 "r" clo in
+  (* control pair 3; frames 1+1+3+3+1+1 at sites 1..6, 1 at site 7 (the
+     escape's frame); Halt 2 (one per continuation); six cells 2 words
+     each; bindings (r,clo) (x,a) (w,a) (y,b) (z,b), charged to the
+     cells they name *)
+  let linked = Space.linked_config_space ~control ~env ~cont ~store in
+  check_int "hand-computed U" 33 linked;
+  let frame site w = ((site, P.P_frame), w, 0) in
+  let cell site phase w = ((site, phase), w, 1) in
+  let expected =
+    [
+      ((-1, P.P_control), 3, 0);
+      ((-1, P.P_halt), 2, 0);
+      frame 1 1; frame 2 1; frame 3 3; frame 4 3; frame 5 1; frame 6 1;
+      frame 7 1;
+      cell 10 P.P_atom 4; cell 11 P.P_atom 4; cell 12 P.P_atom 2;
+      cell 13 P.P_closure 3; cell 14 P.P_atom 2; cell 15 P.P_escape 2;
+    ]
+  in
+  let rows (census : P.t option) =
+    match census with
+    | None -> Alcotest.fail "no census"
+    | Some census ->
+        List.sort compare
+          (List.map
+             (fun (r : P.row) -> ((r.P.site, r.P.phase), r.P.words, r.P.cells))
+             census.P.rows)
+  in
+  let bits = Space.pointer_bits store in
+  check_int "pointer bits of 6 cells" 3 bits;
+  C.stash_linked c ~control ~env ~cont ~store;
+  C.stash_log c ~control ~env ~cont ~store;
+  let lc = C.linked_census c ~peak:linked
+  and gc = C.log_census c ~peak:(bits * linked) in
+  check_int "linked census total" linked (P.total (Option.get lc));
+  check_int "log census total" (bits * linked) (P.total (Option.get gc));
+  let row = Alcotest.(list (triple (pair int string) int int)) in
+  let named = List.map (fun ((s, p), w, n) -> ((s, P.phase_name p), w, n)) in
+  Alcotest.check row "linked rows" (named (List.sort compare expected))
+    (named (rows lc));
+  Alcotest.check row "log rows"
+    (named (List.sort compare (List.map (fun (k, w, n) -> (k, bits * w, n)) expected)))
+    (named (rows gc))
+
 let test_linked_leq_flat_on_runs () =
   (* U_X <= S_X pointwise (§13), checked on real measured runs *)
   List.iter
@@ -257,6 +345,7 @@ let () =
           Alcotest.test_case "shared bindings once" `Quick
             test_linked_counts_shared_bindings_once;
           Alcotest.test_case "U <= S" `Quick test_linked_leq_flat_on_runs;
+          Alcotest.test_case "walk by owner" `Quick test_figure8_walk_by_owner;
         ] );
       ( "hierarchy",
         [
